@@ -8,13 +8,16 @@
 /// Helpers shared by the per-table/per-figure bench binaries: uniform
 /// CLI parsing (--jobs/--seed/--refs — every bench binary accepts the
 /// same flags), the standard scale (overridable via --refs or
-/// MDABT_REFS for quick runs), and uniform printing.
+/// MDABT_REFS for quick runs), the pure-interpreter oracle, and
+/// uniform printing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MDABT_BENCH_BENCHCOMMON_H
 #define MDABT_BENCH_BENCHCOMMON_H
 
+#include "dbt/Engine.h"
+#include "guest/Interpreter.h"
 #include "reporting/Experiment.h"
 #include "support/Format.h"
 #include "support/Stats.h"
@@ -131,6 +134,37 @@ inline void banner(const char *Title, const char *PaperShape) {
   std::printf("Paper-expected shape: %s\n", PaperShape);
   std::printf("==============================================================="
               "=================\n");
+}
+
+/// Observable final state of a pure-interpreter run: the ground truth
+/// engine runs are checked against.  The interpreter decodes fresh
+/// guest bytes for every instruction, so it is also the
+/// self-modifying-code oracle.
+struct InterpOracle {
+  uint32_t Gpr[guest::NumGPR] = {};
+  uint64_t Checksum = 0;
+  uint64_t MemoryHash = 0;
+};
+
+/// Interpret \p Image to completion; a run that does not halt is fatal.
+inline InterpOracle interpretOracle(const guest::GuestImage &Image) {
+  guest::GuestMemory Mem;
+  Mem.loadImage(Image);
+  guest::GuestCPU Cpu;
+  Cpu.reset(Image);
+  guest::Interpreter Interp(Mem);
+  Interp.run(Cpu, 500'000'000ULL);
+  if (!Cpu.Halted) {
+    std::fprintf(stderr, "error: oracle run of %s did not halt\n",
+                 Image.Name.c_str());
+    std::exit(1);
+  }
+  InterpOracle O;
+  for (unsigned I = 0; I != guest::NumGPR; ++I)
+    O.Gpr[I] = Cpu.Gpr[I];
+  O.Checksum = Cpu.Checksum;
+  O.MemoryHash = dbt::fnv1a(Mem.data(), Mem.size());
+  return O;
 }
 
 /// Print the table; when MDABT_CSV names a directory, also write

@@ -34,7 +34,6 @@
 
 #include "BenchCommon.h"
 
-#include "guest/Interpreter.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
 
@@ -44,34 +43,6 @@ using namespace mdabt;
 using namespace mdabt::bench;
 
 namespace {
-
-/// Observable final state under the pure interpreter (the SMC oracle:
-/// it decodes fresh guest bytes for every instruction).
-struct Oracle {
-  uint32_t Gpr[guest::NumGPR] = {};
-  uint64_t Checksum = 0;
-  uint64_t MemoryHash = 0;
-};
-
-Oracle interpretOracle(const guest::GuestImage &Image) {
-  guest::GuestMemory Mem;
-  Mem.loadImage(Image);
-  guest::GuestCPU Cpu;
-  Cpu.reset(Image);
-  guest::Interpreter Interp(Mem);
-  Interp.run(Cpu, 500'000'000ULL);
-  Oracle O;
-  if (!Cpu.Halted) {
-    std::fprintf(stderr, "error: oracle run of %s did not halt\n",
-                 Image.Name.c_str());
-    std::exit(1);
-  }
-  for (unsigned I = 0; I != guest::NumGPR; ++I)
-    O.Gpr[I] = Cpu.Gpr[I];
-  O.Checksum = Cpu.Checksum;
-  O.MemoryHash = dbt::fnv1a(Mem.data(), Mem.size());
-  return O;
-}
 
 /// Run one hostile image under one policy spec.  StaticProfiling
 /// profiles the same image (there is no separate train input for the
@@ -84,7 +55,7 @@ dbt::RunResult runHostile(const guest::GuestImage &Image,
   return Engine.run();
 }
 
-bool matchesOracle(const dbt::RunResult &R, const Oracle &O) {
+bool matchesOracle(const dbt::RunResult &R, const InterpOracle &O) {
   if (!R.completed() || R.Checksum != O.Checksum ||
       R.MemoryHash != O.MemoryHash)
     return false;
@@ -121,7 +92,7 @@ int main(int argc, char **argv) {
 
   // Interpreter oracles: the ground truth every engine run is diffed
   // against.  Cheap (tens of thousands of instructions), run serially.
-  std::vector<Oracle> Oracles;
+  std::vector<InterpOracle> Oracles;
   for (const workloads::HostileProgram &P : Suite)
     Oracles.push_back(interpretOracle(P.Image));
 
@@ -208,7 +179,7 @@ int main(int argc, char **argv) {
   // Each ceiling alone must convert unbounded churn into its own typed
   // RunError; the pin must instead *complete* the run (degradation).
   const guest::GuestImage Churn = workloads::smcChurnProgram(4, 4000);
-  const Oracle ChurnOracle = interpretOracle(Churn);
+  const InterpOracle ChurnOracle = interpretOracle(Churn);
   const mda::PolicySpec ChurnSpec = Cases[NumCases - 1].Spec;
 
   struct BudgetCase {

@@ -56,7 +56,6 @@
 
 #include "chaos/FaultPlan.h"
 #include "dbt/TranslationService.h"
-#include "guest/Interpreter.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
 
@@ -92,23 +91,6 @@ struct Baseline {
   uint64_t Checksum = 0;
   uint64_t MemoryHash = 0;
 };
-
-/// Interpreter oracle for a hostile image: the interpreter decodes
-/// fresh bytes every instruction, so it is the SMC ground truth.
-Baseline interpretBaseline(const guest::GuestImage &Image) {
-  guest::GuestMemory Mem;
-  Mem.loadImage(Image);
-  guest::GuestCPU Cpu;
-  Cpu.reset(Image);
-  guest::Interpreter Interp(Mem);
-  Interp.run(Cpu, 500'000'000ULL);
-  if (!Cpu.Halted) {
-    std::fprintf(stderr, "error: oracle run of %s did not halt\n",
-                 Image.Name.c_str());
-    std::exit(1);
-  }
-  return {Cpu.Checksum, dbt::fnv1a(Mem.data(), Mem.size())};
-}
 
 /// Outcome classes shared by both phases' tallies.
 enum class Outcome { Survived, Degraded, Wedged, Corrupt };
@@ -435,10 +417,13 @@ int main(int argc, char **argv) {
 
   // --- ground truth --------------------------------------------------
 
-  // Hostile baselines come straight from the interpreter oracle.
+  // Hostile baselines come straight from the interpreter oracle (the
+  // SMC ground truth).
   std::vector<Baseline> HostileBase;
-  for (const workloads::HostileProgram &P : Hostile)
-    HostileBase.push_back(interpretBaseline(P.Image));
+  for (const workloads::HostileProgram &P : Hostile) {
+    InterpOracle O = interpretOracle(P.Image);
+    HostileBase.push_back({O.Checksum, O.MemoryHash});
+  }
 
   // Fault-free SPEC baselines: every policy must agree on the
   // observable final state of each program — that shared state is the

@@ -33,29 +33,27 @@ void AotTranslator::pretranslateAll() {
     // Re-discover through the same decoder the demand path uses; a
     // proven block decodes by construction.
     GuestBlock GB = discoverBlock(Mem, B.StartPc);
+    Translation T;
+    Acquired A = acquireOrTranslate(
+        Mem, &GB, 1, Plan, Opts, /*IsTrace=*/false, Service, Scratch,
+        [&]() -> const Translation & {
+          T = Trans.translate(GB, Plan, 0, Opts);
+          return T;
+        });
     Unit U;
     U.GuestPc = B.StartPc;
-    const GuestBlock *One = &GB;
-    U.Key = translationContentKey(Mem, &One, 1, Plan, Opts, false);
-    if (Service) {
-      if (TranslationLease L = Service->acquire(U.Key)) {
-        // Warm start: someone (a previous run, the disk artifact, or a
-        // concurrent tenant) already produced these exact words.
-        U.Payload = L.get();
-        U.Lease = std::move(L);
-        U.FromCache = true;
-        ++S.FromCache;
-      }
-    }
-    if (!U.FromCache) {
-      Translation T = Trans.translate(GB, Plan, 0, Opts);
-      U.Payload = captureTranslation(T, Scratch);
-      if (Service)
-        U.Lease = Service->publish(U.Key, U.Payload);
+    // Warm start when FromCache: a previous run, the disk artifact or a
+    // concurrent tenant already produced these exact words.
+    U.FromCache = A.FromCache;
+    if (A.FromCache) {
+      ++S.FromCache;
+    } else {
       ++S.Translated;
       S.StartupTranslateCycles +=
           static_cast<uint64_t>(GB.size()) * Cost.TranslateCyclesPerInst;
     }
+    U.Payload = A.Lease ? A.Lease.get() : captureTranslation(T, Scratch);
+    U.Lease = std::move(A.Lease);
     S.GuestInsts += GB.size();
     Units.emplace(B.StartPc, std::move(U));
   }
@@ -69,44 +67,30 @@ AotTranslator::Unit *AotTranslator::find(uint32_t Pc) {
 std::vector<uint32_t> AotTranslator::noteGuestStore(uint32_t Addr,
                                                     uint32_t Size) {
   std::vector<uint32_t> Staled;
-  uint32_t Lo = Addr, Hi = Addr + Size;
-  for (auto &KV : Units) {
-    Unit &U = KV.second;
-    if (U.Stale)
-      continue;
-    for (const auto &R : U.Payload.GuestRanges) {
-      if (R.first < Hi && Lo < R.second) {
-        U.Stale = true;
-        U.Lease.release();
-        ++S.StaleDropped;
-        Staled.push_back(U.GuestPc);
-        break;
-      }
-    }
-  }
+  for (auto &[Pc, U] : Units)
+    if (overlapsAny(U.Payload.GuestRanges, Addr, Addr + Size) && retire(U))
+      Staled.push_back(Pc);
   return Staled;
 }
 
 bool AotTranslator::drop(uint32_t Pc) {
   Unit *U = find(Pc);
-  if (!U || U->Stale)
-    return false;
-  U->Stale = true;
-  U->Lease.release();
-  ++S.StaleDropped;
-  return true;
+  return U && retire(*U);
 }
 
 std::vector<uint32_t> AotTranslator::dropAll() {
   std::vector<uint32_t> Staled;
-  for (auto &KV : Units) {
-    Unit &U = KV.second;
-    if (U.Stale)
-      continue;
-    U.Stale = true;
-    U.Lease.release();
-    ++S.StaleDropped;
-    Staled.push_back(U.GuestPc);
-  }
+  for (auto &[Pc, U] : Units)
+    if (retire(U))
+      Staled.push_back(Pc);
   return Staled;
+}
+
+bool AotTranslator::retire(Unit &U) {
+  if (U.Stale)
+    return false;
+  U.Stale = true;
+  U.Lease.release();
+  ++S.StaleDropped;
+  return true;
 }

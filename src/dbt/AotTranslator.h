@@ -59,7 +59,6 @@ public:
   /// One pre-translated block, pending installation.
   struct Unit {
     uint32_t GuestPc = 0;
-    CacheKey Key;
     /// Relocatable payload; kept after installation so a capacity
     /// flush can re-install without re-translating.
     CachedTranslation Payload;
@@ -114,6 +113,9 @@ public:
   const Stats &stats() const { return S; }
 
 private:
+  /// Stale a live unit and drop its lease; false if already stale.
+  bool retire(Unit &U);
+
   const guest::GuestMemory &Mem;
   const analysis::CfgResult &Cfg;
   Translator::PlanFn Plan;

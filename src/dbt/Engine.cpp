@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Engine façade: one Engine::run constructs one per-run
-/// ExecutionContext (which holds ALL mutable run state — see
-/// docs/SERVING.md for the serving-architecture split) and executes it.
+/// The Engine façade: one Engine::run executes one run through
+/// executeRun, whose per-run ExecutionContext holds ALL mutable run
+/// state (see docs/SERVING.md for the serving-architecture split).
 /// Shared leaf utilities (fnv1a, RunError names) live here too.
 ///
 //===----------------------------------------------------------------------===//
@@ -85,6 +85,5 @@ RunResult Engine::run() {
     std::abort();
   }
   Used = true;
-  ExecutionContext Ctx(Image, Policy, Config);
-  return Ctx.run();
+  return executeRun(Image, Policy, Config);
 }

@@ -26,8 +26,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -54,15 +52,33 @@ uint32_t hostNopWord() {
   return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
 }
 
-} // namespace
+/// The unconditional branch word at code word \p At that lands on word
+/// \p Target, or nothing if the displacement is out of branch range
+/// (the exit then keeps going through the monitor).
+std::optional<uint32_t> branchWord(uint32_t At, uint32_t Target) {
+  int64_t Disp =
+      static_cast<int64_t>(Target) - (static_cast<int64_t>(At) + 1);
+  if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    return std::nullopt;
+  return Translator::stubBranchWord(At, Target);
+}
 
-/// All per-run state of the engine: built fresh for every run().
+/// Deterministic retirement order regardless of hash-map iteration:
+/// entry words are unique between flushes.
+void sortByEntryWord(std::vector<Translation *> &Victims) {
+  std::sort(Victims.begin(), Victims.end(),
+            [](const Translation *A, const Translation *B) {
+              return A->EntryWord < B->EntryWord;
+            });
+}
+
+/// All per-run state of the engine: built fresh for every run.
 /// Implements TraceClock so every emitted event is stamped with the
 /// run's current modeled cycle count.
-struct ExecutionContext::Impl : public obs::TraceClock {
+class ExecutionContext : public obs::TraceClock {
 public:
-  Impl(const guest::GuestImage &Image, MdaPolicy &Policy,
-       const EngineConfig &Config)
+  ExecutionContext(const guest::GuestImage &Image, MdaPolicy &Policy,
+                   const EngineConfig &Config)
       : Policy(Policy), Config(Config), Cost(Config.Cost),
         Hard(Config.Hardening), Interp(Mem),
         Machine(Code, Mem, Hier, Cost), Trans(Code), Profiler(*this),
@@ -83,13 +99,16 @@ public:
     });
     if (Config.HashDispatch)
       Dispatch.emplace();
-    if (Config.Analysis) {
-      // Static alignment inference over this run's own image copy (one
-      // run = one isolated world, so --jobs fan-out stays bit-exact).
-      // Like static profiling, the pass is modeled as offline work and
-      // its cycles are not charged to the run.
+    // Static alignment inference over this run's own image copy (one
+    // run = one isolated world, so --jobs fan-out stays bit-exact).
+    // Like static profiling, the pass is modeled as offline work and
+    // its cycles are not charged to the run.  AOT MemPlans come from
+    // congruence verdicts, so the analysis is implied by Aot != Off even
+    // when EngineConfig::Analysis is off.
+    if (Config.Analysis || Config.Aot != AotMode::Off)
       Ana.emplace(
           analysis::analyzeAlignment(Mem, Image.Entry, Image.StackTop));
+    if (Config.Analysis) {
       if (Trace.enabled()) {
         std::vector<uint32_t> Pcs;
         Pcs.reserve(Ana->Sites.size());
@@ -109,15 +128,10 @@ public:
       }
     }
     if (Config.Aot != AotMode::Off) {
-      // AOT MemPlans come from congruence verdicts, so the alignment
-      // analysis is implied even when EngineConfig::Analysis is off.
-      // Like the recovery pass below it is modeled as offline work.
-      if (!Ana)
-        Ana.emplace(
-            analysis::analyzeAlignment(Mem, Image.Entry, Image.StackTop));
-      // Deterministic whole-image CFG recovery over the pristine bytes:
-      // the statically proven reachable set the pre-translator covers
-      // and the verifier's reachability invariant checks against.
+      // Deterministic whole-image CFG recovery over the pristine bytes,
+      // also modeled as offline work: the statically proven reachable
+      // set the pre-translator covers and the verifier's reachability
+      // invariant checks against.
       AotCfg.emplace(analysis::recoverCfg(Mem, Image.Entry));
       for (const auto &R : AotCfg->coverageRanges())
         AotReachable.push_back({R.first, R.second});
@@ -165,14 +179,14 @@ private:
   /// profile.
   class InterpProfiler : public guest::InterpObserver {
   public:
-    explicit InterpProfiler(Impl &S) : S(S) {}
+    explicit InterpProfiler(ExecutionContext &S) : S(S) {}
     void onMemAccess(uint32_t InstPc, uint32_t Addr, unsigned Size,
                      bool IsStore) override {
       ++S.InterpRefs;
       S.InterpCycles += S.Cost.InterpMemExtraCycles + S.Hier.data(Addr);
       S.Policy.onInterpMemAccess(InstPc, Addr, Size, IsStore);
     }
-    Impl &S;
+    ExecutionContext &S;
   };
 
   // -- verified code-cache patching --------------------------------------
@@ -183,21 +197,21 @@ private:
   /// must never become executable) and false is returned; if even the
   /// restore cannot be made to stick the run aborts with PatchFailed.
   bool patchVerified(uint32_t Word, uint32_t Desired) {
+    // Write \p V until it reads back; the number of tries, 0 if none
+    // stuck.
+    auto Write = [&](uint32_t V) -> uint32_t {
+      for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
+        Code.patch(Word, V);
+        if (Code.word(Word) == V)
+          return A + 1;
+      }
+      return 0;
+    };
     uint32_t Fallback = Code.word(Word);
     ChaosPatchArmed = true;
-    bool Ok = false;
-    bool Repaired = false;
-    for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
-      Code.patch(Word, Desired);
-      if (Code.word(Word) == Desired) {
-        Ok = true;
-        break;
-      }
-      Repaired = true;
-    }
-    if (Ok) {
+    if (uint32_t Tries = Write(Desired)) {
       ChaosPatchArmed = false;
-      if (Repaired) {
+      if (Tries > 1) {
         ++PatchRepairs;
         Trace.emit(obs::TraceEventKind::PatchRepaired, 0, 0, Word,
                    Desired);
@@ -209,14 +223,7 @@ private:
         PatchFailures > Hard.PatchFailureLimit)
       Abort = RunError::PatchFailed;
     // Roll back so execution never reaches a corrupt word.
-    bool Restored = false;
-    for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
-      Code.patch(Word, Fallback);
-      if (Code.word(Word) == Fallback) {
-        Restored = true;
-        break;
-      }
-    }
+    bool Restored = Write(Fallback) != 0;
     ChaosPatchArmed = false;
     Trace.emit(obs::TraceEventKind::PatchRolledBack, 0, 0, Word,
                Restored ? 1 : 0);
@@ -249,6 +256,12 @@ private:
     }
     return Policy.planMemoryOp(Pc, I);
   }
+
+  /// planMemOp as the translator's plan callback.
+  const Translator::PlanFn PlanChain = [this](uint32_t Pc,
+                                              const guest::GuestInst &I) {
+    return planMemOp(Pc, I);
+  };
 
   /// Inline-cache ways per indirect exit for this run (0 when disabled).
   uint32_t icWays() const {
@@ -286,6 +299,125 @@ private:
                T.FusedSites.size(), Saved);
   }
 
+  /// The live translation the block map holds for guest \p Pc, if any.
+  Translation *liveBlock(uint32_t Pc) {
+    auto It = BlockMap.find(Pc);
+    return It != BlockMap.end() && It->second->Valid ? It->second : nullptr;
+  }
+
+  /// Enter \p T into the block map and, when enabled, the dispatch
+  /// table as the translation to dispatch for guest \p Pc.
+  void mapBlock(uint32_t Pc, Translation *T) {
+    BlockMap[Pc] = T;
+    if (Dispatch)
+      Dispatch->insert(Pc, T);
+  }
+
+  /// The acquire-or-translate step of the demand and superblock paths:
+  /// translate \p Blocks (one block, or a trace's constituents) into the
+  /// Store, leased from the shared cache when a service is attached
+  /// (\p Copied: a hit).  Null if the translation failed.
+  Translation *acquireOrTranslate(const std::vector<GuestBlock> &Blocks,
+                                  const Translator::PlanFn &Plan,
+                                  uint32_t Generation, bool IsTrace,
+                                  bool &Copied) {
+    uint32_t Pc = Blocks.front().StartPc;
+    uint32_t Insts = 0;
+    for (const GuestBlock &B : Blocks)
+      Insts += static_cast<uint32_t>(B.size());
+    if (Injector && Injector->translateFails()) {
+      // The translator failed: charge the wasted work and fall back to
+      // interpretation.  A block is pinned interp-only once failures at
+      // its PC persist; a trace's constituents simply stay in service.
+      ++ChaosTranslateFails;
+      ++TranslateFailures;
+      if (!Policy.translationIsOffline())
+        TranslateCycles +=
+            static_cast<uint64_t>(Insts) * Cost.TranslateCyclesPerInst;
+      Trace.emit(obs::TraceEventKind::TranslationFailed, Pc, Pc,
+                 IsTrace ? 0 : TranslateFailsAt[Pc] + 1, Generation);
+      if (!IsTrace && ++TranslateFailsAt[Pc] >= Hard.TranslateRetryLimit) {
+        InterpOnly.insert(Pc);
+        ++LadderInterpPins;
+      }
+      if (Hard.TranslationFailureLimit != 0 &&
+          TranslateFailures > Hard.TranslationFailureLimit)
+        Abort = RunError::TranslationFailed;
+      return nullptr;
+    }
+    if (!IsTrace)
+      TranslateFailsAt.erase(Pc);
+    TranslationOpts Opts = translationOpts();
+    auto Translate = [&]() -> const Translation & {
+      Store.push_back(IsTrace ? Trans.translateTrace(Blocks, Plan,
+                                                     Generation, Opts)
+                              : Trans.translate(Blocks.front(), Plan,
+                                                Generation, Opts));
+      return Store.back();
+    };
+    if (!Service) {
+      Translate();
+      return &Store.back();
+    }
+    // Serving path: keyed over every constituent (including unroll
+    // copies), so a trace's exact shape is part of its key.
+    Acquired A =
+        dbt::acquireOrTranslate(Mem, Blocks.data(), Blocks.size(), Plan, Opts,
+                                IsTrace, Service, Code, Translate);
+    if (A.FromCache) {
+      Store.push_back(instantiateCached(A.Lease.get(), Generation));
+      Copied = true;
+      ++CacheHits;
+      CacheHitInsts += Insts;
+      Trace.emit(obs::TraceEventKind::CacheHit, Pc, Pc, A.Key.Lo,
+                 Generation);
+    } else {
+      ++CacheMisses;
+      CacheEvictions += A.Evicted;
+      Trace.emit(obs::TraceEventKind::CacheMiss, Pc, Pc, A.Key.Lo,
+                 Generation);
+      if (A.Evicted)
+        Trace.emit(obs::TraceEventKind::CacheEvict, Pc, Pc, A.Evicted, 0);
+    }
+    Leases.emplace(&Store.back(), std::move(A.Lease));
+    return &Store.back();
+  }
+
+  /// The install step of demand blocks, AOT units and superblock traces:
+  /// map \p T (a trace's caller redirects the head instead), watch its
+  /// bytes, charge translate (or, if \p Copied, install) cycles and code
+  /// growth, bump \p Installed and emit \p Kind(\p A, \p B).  A
+  /// translation bigger than the whole cache would flush-thrash on every
+  /// dispatch: it is retired (a block also pinned interpret-only) and
+  /// false returned.  The caller runs the verifier.
+  bool installCode(Translation *T, bool Copied, uint64_t &Installed,
+                   obs::TraceEventKind Kind, uint64_t A, uint64_t B) {
+    Regions[T->EntryWord] = {T->EndWord, T};
+    if (!T->IsTrace)
+      mapBlock(T->GuestPc, T);
+    trackTranslation(T);
+    if (!Policy.translationIsOffline())
+      TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
+                         (Copied ? Cost.CacheInstallCyclesPerInst
+                                 : Cost.TranslateCyclesPerInst);
+    ++Installed;
+    chargeCodeGrowth();
+    checkBudgets();
+    HTransInsts->record(T->GuestInsts);
+    Trace.emit(Kind, T->GuestPc, T->GuestPc, A, B);
+    recordFusion(*T);
+    if (Config.CodeCacheLimitWords != 0 &&
+        T->EndWord - T->EntryWord > Config.CodeCacheLimitWords) {
+      if (!T->IsTrace) {
+        InterpOnly.insert(T->GuestPc);
+        ++OversizedPins;
+      }
+      invalidate(T);
+      return false;
+    }
+    return true;
+  }
+
   Translation *installTranslation(uint32_t GuestPc, uint32_t Generation,
                                   bool AllowFlush = false) {
     if (InterpOnly.count(GuestPc))
@@ -297,109 +429,32 @@ private:
       return nullptr;
     // Capacity policy: flush before installing, and only from monitor
     // context (translated code must not be running during a flush).
-    if (AllowFlush && Config.CodeCacheLimitWords != 0 &&
-        Code.size() > Config.CodeCacheLimitWords) {
-      flushAll();
-      if (Abort != RunError::None)
-        return nullptr;
-    }
-    GuestBlock Block = discoverBlock(Mem, GuestPc);
-    if (Injector && Injector->translateFails()) {
-      // The translator failed: charge the wasted work, fall back to
-      // interpretation, and pin the block interp-only once failures at
-      // this PC persist.
-      ++ChaosTranslateFails;
-      ++TranslateFailures;
-      if (!Policy.translationIsOffline())
-        TranslateCycles += static_cast<uint64_t>(Block.size()) *
-                           Cost.TranslateCyclesPerInst;
-      Trace.emit(obs::TraceEventKind::TranslationFailed, GuestPc, GuestPc,
-                 TranslateFailsAt[GuestPc] + 1, Generation);
-      if (++TranslateFailsAt[GuestPc] >= Hard.TranslateRetryLimit) {
-        InterpOnly.insert(GuestPc);
-        ++LadderInterpPins;
-      }
-      if (Hard.TranslationFailureLimit != 0 &&
-          TranslateFailures > Hard.TranslationFailureLimit)
-        Abort = RunError::TranslationFailed;
+    if (AllowFlush && !flushIfFull())
       return nullptr;
-    }
-    TranslateFailsAt.erase(GuestPc);
-    Translator::PlanFn Plan = [this](uint32_t Pc,
-                                     const guest::GuestInst &I) {
-      return planMemOp(Pc, I);
-    };
-    bool FromCache = false;
-    if (Service) {
-      // Serving path: look the block up in the shared cache by content
-      // key (guest bytes + per-site plans + options).  A hit installs
-      // the cached words — no translation; a miss translates locally
-      // and publishes the pristine result for other tenants.
-      TranslationOpts Opts = translationOpts();
-      const GuestBlock *One[] = {&Block};
-      CacheKey Key = serviceKey(One, 1, Plan, Opts, /*IsTrace=*/false);
-      TranslationLease L = Service->acquire(Key);
-      if (L) {
-        Store.push_back(instantiateCached(L.get(), Generation));
-        FromCache = true;
-        ++CacheHits;
-        CacheHitInsts += Block.size();
-        Trace.emit(obs::TraceEventKind::CacheHit, GuestPc, GuestPc,
-                   Key.Lo, Generation);
-      } else {
-        Store.push_back(Trans.translate(Block, Plan, Generation, Opts));
-        uint64_t Evicted = 0;
-        L = Service->publish(Key, captureCached(Store.back()), &Evicted);
-        ++CacheMisses;
-        CacheEvictions += Evicted;
-        Trace.emit(obs::TraceEventKind::CacheMiss, GuestPc, GuestPc,
-                   Key.Lo, Generation);
-        if (Evicted)
-          Trace.emit(obs::TraceEventKind::CacheEvict, GuestPc, GuestPc,
-                     Evicted, 0);
-      }
-      Leases.emplace(&Store.back(), std::move(L));
-    } else {
-      Store.push_back(
-          Trans.translate(Block, Plan, Generation, translationOpts()));
-    }
-    Translation *T = &Store.back();
-    Regions[T->EntryWord] = {T->EndWord, T};
-    BlockMap[GuestPc] = T;
-    if (Dispatch)
-      Dispatch->insert(GuestPc, T);
-    trackTranslation(T);
-    if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(Block.size()) *
-                         (FromCache ? Cost.CacheInstallCyclesPerInst
-                                    : Cost.TranslateCyclesPerInst);
-    ++Translations;
-    chargeCodeGrowth();
-    checkBudgets();
-    HTransInsts->record(Block.size());
-    Trace.emit(obs::TraceEventKind::BlockTranslated, GuestPc, GuestPc,
-               Block.size(), Generation);
-    recordFusion(*T);
-    // A single block bigger than the whole cache would flush-thrash on
-    // every dispatch: pin it interpret-only instead.
-    if (Config.CodeCacheLimitWords != 0 &&
-        T->EndWord - T->EntryWord > Config.CodeCacheLimitWords) {
-      InterpOnly.insert(GuestPc);
-      ++OversizedPins;
-      invalidate(T);
-      runVerifier();
+    std::vector<GuestBlock> Blocks;
+    Blocks.push_back(discoverBlock(Mem, GuestPc));
+    bool Copied = false;
+    Translation *T = acquireOrTranslate(Blocks, PlanChain, Generation,
+                                        /*IsTrace=*/false, Copied);
+    if (!T)
       return nullptr;
-    }
+    bool Live = installCode(T, Copied, Translations,
+                            obs::TraceEventKind::BlockTranslated,
+                            T->GuestInsts, Generation);
     runVerifier();
-    return T;
+    return Live ? T : nullptr;
   }
 
-  /// Take one inline-cache way out of service: disable its guard, then
-  /// scrub its final branch (so no branch into a dead entry survives in
-  /// verified code).  Returns false if the guard could not be disabled;
-  /// the way is then quarantined as Stale — the intact dead target code
-  /// it may still reach is the same contained casualty as a stale chain.
-  bool retireIcWay(IcWay &Way) {
+  /// Evict one inline-cache way of \p Owner (\p Why: 0 refill, 1 target
+  /// invalidated): disable its guard, then scrub its final branch (so no
+  /// branch into a dead entry survives in verified code).  Returns false
+  /// if the guard could not be disabled; the way is then quarantined as
+  /// Stale — the intact dead target code it may still reach is the same
+  /// contained casualty as a stale chain.
+  bool retireIcWay(IcWay &Way, const Translation *Owner, uint64_t Why) {
+    ++IcEvictions;
+    Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
+               Owner->GuestPc, Way.Begin, Why);
     uint32_t FinalBr = Way.Begin + IcWayWords - 1;
     if (!patchVerified(Way.Begin, icDisabledGuardWord())) {
       Way.Stale = true;
@@ -458,10 +513,7 @@ private:
       // unique between flushes, so the comparison is exact).
       if (!Way.Filled || Way.TargetEntry != Old->EntryWord)
         continue;
-      ++IcEvictions;
-      Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
-                 Ref.Owner->GuestPc, Way.Begin, 1);
-      if (!retireIcWay(Way) && SmcStrict) {
+      if (!retireIcWay(Way, Ref.Owner, 1) && SmcStrict) {
         // Same strictness as the unchain loop above: a quarantined way
         // may still branch into semantically stale code.
         Abort = RunError::PatchFailed;
@@ -494,24 +546,31 @@ private:
       // Dynamo-style: flush everything at the next safe point (we may
       // be inside the fault handler with the old code still running).
       PendingFlush = true;
-      ++Supersedes;
-      checkBudgets();
-      return;
+    } else {
+      invalidate(Old);
+      installTranslation(Old->GuestPc, Old->Generation + 1);
     }
-    invalidate(Old);
-    installTranslation(Old->GuestPc, Old->Generation + 1);
     ++Supersedes;
     checkBudgets();
+  }
+
+  /// The arena has outgrown EngineConfig::CodeCacheLimitWords.
+  bool overCapacity() const {
+    return Config.CodeCacheLimitWords != 0 &&
+           Code.size() > Config.CodeCacheLimitWords;
+  }
+
+  /// Capacity-triggered flush before an install; false if it aborted
+  /// the run.
+  bool flushIfFull() {
+    if (overCapacity())
+      flushAll();
+    return Abort == RunError::None;
   }
 
   /// Full code-cache flush (Dynamo-style, or capacity-triggered).  Only
   /// legal from the monitor, when no translated code is running.
   void flushAll() {
-    // Flushed translations leave service without invalidate(): record
-    // their trap counts before the store is dropped.
-    for (Translation &T : Store)
-      if (T.Valid)
-        HTrapBlock->record(T.FaultCount);
     Trace.emit(obs::TraceEventKind::CacheFlush, 0, 0, Code.size(),
                Store.size());
 #ifndef NDEBUG
@@ -535,11 +594,16 @@ private:
       T.IncomingChains.clear();
       T.IncomingIcWays.clear();
     }
-    // Write-barrier bookkeeping dies with the arena; invalid
-    // translations were already untracked by invalidate().
-    for (Translation &T : Store)
-      if (T.Valid)
+    // Flushed translations leave service without invalidate(): record
+    // their trap counts before the store is dropped.  Write-barrier
+    // bookkeeping dies with the arena; invalid translations were
+    // already untracked by invalidate().
+    for (Translation &T : Store) {
+      if (T.Valid) {
+        HTrapBlock->record(T.FaultCount);
         untrackTranslation(&T);
+      }
+    }
     TrackedByPage.clear();
     // Pending AOT units keep their write-barrier watches across the
     // flush (their payloads survive for lazy re-install), so the drain
@@ -570,12 +634,17 @@ private:
 
   // -- guest-code coherence (self-modifying code) ---------------------------
 
-  /// Visit every watch page covered by \p T's guest ranges, once each
-  /// (adjacent trace constituents may share a page).
+  /// Watch (\p Watch) or unwatch \p Ranges in the guest write barrier,
+  /// then visit every watch page they cover, once each (adjacent trace
+  /// constituents may share a page).
   template <typename Fn>
-  void forEachWatchPage(const Translation *T, Fn F) {
+  void forEachWatchPage(const GuestRangeList &Ranges, bool Watch, Fn F) {
     std::vector<uint32_t> Pages;
-    for (const auto &R : T->GuestRanges) {
+    for (const auto &R : Ranges) {
+      if (Watch)
+        Mem.watchRange(R.first, R.second);
+      else
+        Mem.unwatchRange(R.first, R.second);
       uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
       uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
       for (uint32_t P = P0; P <= P1; ++P)
@@ -588,21 +657,18 @@ private:
 
   /// Register a freshly installed translation with the write barrier:
   /// its guest ranges become watched, and the per-page victim index
-  /// learns about it.  Every install path must pair this with
+  /// learns about it.  Called by the install step; paired with
   /// untrackTranslation (via invalidate or flushAll).
   void trackTranslation(Translation *T) {
     T->BornEpoch = StoreEpoch;
-    for (const auto &R : T->GuestRanges)
-      Mem.watchRange(R.first, R.second);
-    forEachWatchPage(T, [&](uint32_t P) { TrackedByPage[P].push_back(T); });
+    forEachWatchPage(T->GuestRanges, /*Watch=*/true,
+                     [&](uint32_t P) { TrackedByPage[P].push_back(T); });
   }
 
   /// Drop a translation from the barrier's bookkeeping (called as it
   /// leaves service).
   void untrackTranslation(Translation *T) {
-    for (const auto &R : T->GuestRanges)
-      Mem.unwatchRange(R.first, R.second);
-    forEachWatchPage(T, [&](uint32_t P) {
+    forEachWatchPage(T->GuestRanges, /*Watch=*/false, [&](uint32_t P) {
       auto It = TrackedByPage.find(P);
       if (It == TrackedByPage.end())
         return;
@@ -621,77 +687,46 @@ private:
   /// must stale it even before (or after) installation, and flushAll's
   /// drain assertion needs to know how many watched pages are AOT's.
   void watchAotUnit(const AotTranslator::Unit &U) {
-    for (const auto &R : U.Payload.GuestRanges) {
-      Mem.watchRange(R.first, R.second);
-      uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
-      uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
-      for (uint32_t P = P0; P <= P1; ++P)
-        ++AotWatchRef[P];
-    }
+    forEachWatchPage(U.Payload.GuestRanges, /*Watch=*/true,
+                     [&](uint32_t P) { ++AotWatchRef[P]; });
   }
 
-  void unwatchAotUnit(const AotTranslator::Unit &U) {
-    for (const auto &R : U.Payload.GuestRanges) {
-      Mem.unwatchRange(R.first, R.second);
-      uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
-      uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
-      for (uint32_t P = P0; P <= P1; ++P) {
-        auto It = AotWatchRef.find(P);
-        if (It != AotWatchRef.end() && --It->second == 0)
-          AotWatchRef.erase(It);
-      }
-    }
+  /// Release the watches of the AOT units at \p Pcs, just staled.
+  void unwatchAotUnits(const std::vector<uint32_t> &Pcs) {
+    for (uint32_t Pc : Pcs)
+      forEachWatchPage(Aot->find(Pc)->Payload.GuestRanges, /*Watch=*/false,
+                       [&](uint32_t P) {
+                         auto It = AotWatchRef.find(P);
+                         if (It != AotWatchRef.end() && --It->second == 0)
+                           AotWatchRef.erase(It);
+                       });
   }
 
   /// A plan revision retired the translation at \p Pc (supersede,
   /// degradation ladder, SMC victim): its pending AOT unit, compiled
   /// under the old plans, must never be re-installed.
   void dropAotUnit(uint32_t Pc) {
-    if (!Aot)
-      return;
-    if (Aot->drop(Pc))
-      unwatchAotUnit(*Aot->find(Pc));
+    if (Aot && Aot->drop(Pc))
+      unwatchAotUnits({Pc});
   }
 
-  /// Instantiate one pending AOT unit into the run's arena.  Mirrors
-  /// installTranslation's serving-hit path: install cycles, dispatch and
-  /// write-barrier tracking, budgets and oversized pinning all behave
-  /// identically.  \p Sweep runs the forced verifier sweep after the
-  /// install (the startup batch defers to one sweep over the whole
-  /// pre-populated cache instead).
-  Translation *installAotUnit(AotTranslator::Unit &U, bool Sweep) {
+  /// Instantiate one pending AOT unit into the run's arena through the
+  /// shared install step, at cache-install cost (its translate cycles
+  /// were charged at startup).  The verifier, as the AOT output
+  /// checker, sweeps a dropped oversized unit and, when \p Sweep, every
+  /// install — even with EngineConfig::Verify off; the startup batch
+  /// defers to one sweep over the whole pre-populated cache instead.
+  Translation *installAotUnit(const AotTranslator::Unit &U, bool Sweep) {
     Store.push_back(instantiateCached(U.Payload, /*Generation=*/0));
     Translation *T = &Store.back();
     T->AotInstalled = true;
-    Regions[T->EntryWord] = {T->EndWord, T};
-    BlockMap[U.GuestPc] = T;
-    if (Dispatch)
-      Dispatch->insert(U.GuestPc, T);
-    trackTranslation(T);
-    if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
-                         Cost.CacheInstallCyclesPerInst;
-    ++Translations;
     ++AotInstalls;
-    chargeCodeGrowth();
-    checkBudgets();
-    HTransInsts->record(T->GuestInsts);
-    Trace.emit(obs::TraceEventKind::AotInstall, U.GuestPc, U.GuestPc,
-               T->GuestInsts, U.FromCache ? 1 : 0);
-    recordFusion(*T);
-    // Same containment as the demand path: a single block bigger than
-    // the whole cache would flush-thrash on every dispatch.
-    if (Config.CodeCacheLimitWords != 0 &&
-        T->EndWord - T->EntryWord > Config.CodeCacheLimitWords) {
-      InterpOnly.insert(U.GuestPc);
-      ++OversizedPins;
-      invalidate(T);
+    bool Live = installCode(T, /*Copied=*/true, Translations,
+                            obs::TraceEventKind::AotInstall, T->GuestInsts,
+                            U.FromCache ? 1 : 0);
+    if (!Live || Sweep)
       runVerifier(/*Force=*/true);
-      return nullptr;
-    }
-    if (Sweep)
-      runVerifier(/*Force=*/true);
-    return T;
+    return Live ? T : nullptr;
   }
 
   /// The AOT startup phase (run() calls this before the first guest
@@ -701,39 +736,24 @@ private:
   /// the pre-populated cache — even when EngineConfig::Verify is off.
   void aotStartup() {
     uint64_t Cycles0 = now();
-    Translator::PlanFn Plan = [this](uint32_t Pc,
-                                     const guest::GuestInst &I) {
-      return planMemOp(Pc, I);
-    };
-    Aot.emplace(Mem, *AotCfg, Plan, translationOpts(), Service, Cost);
+    Aot.emplace(Mem, *AotCfg, PlanChain, translationOpts(), Service, Cost);
     Aot->pretranslateAll();
     const AotTranslator::Stats &AS = Aot->stats();
     if (!Policy.translationIsOffline())
       TranslateCycles += AS.StartupTranslateCycles;
-    if (Trace.enabled())
-      for (const auto &KV : Aot->units())
-        Trace.emit(obs::TraceEventKind::AotTranslated, KV.first, KV.first,
-                   KV.second.Payload.GuestInsts,
-                   KV.second.FromCache ? 1 : 0);
-    for (const auto &KV : Aot->units())
-      watchAotUnit(KV.second);
+    for (const auto &[Pc, U] : Aot->units()) {
+      Trace.emit(obs::TraceEventKind::AotTranslated, Pc, Pc,
+                 U.Payload.GuestInsts, U.FromCache ? 1 : 0);
+      watchAotUnit(U);
+    }
     if (Config.Aot == AotMode::Full) {
-      std::vector<uint32_t> Pcs;
-      Pcs.reserve(Aot->units().size());
-      for (const auto &KV : Aot->units())
-        Pcs.push_back(KV.first);
-      for (uint32_t Pc : Pcs) {
-        if (Abort != RunError::None)
-          break;
+      for (const auto &[Pc, U] : Aot->units()) {
         // Capacity containment: leave the tail pending — it installs
         // lazily at first dispatch, exactly the hybrid path.
-        if (Config.CodeCacheLimitWords != 0 &&
-            Code.size() > Config.CodeCacheLimitWords)
+        if (Abort != RunError::None || overCapacity())
           break;
-        AotTranslator::Unit *U = Aot->find(Pc);
-        if (U->Stale || InterpOnly.count(Pc))
-          continue;
-        installAotUnit(*U, /*Sweep=*/false);
+        if (!U.Stale && !InterpOnly.count(Pc))
+          installAotUnit(U, /*Sweep=*/false);
       }
     }
     AotStartupCycles = now() - Cycles0;
@@ -769,9 +789,7 @@ private:
     // Pending AOT units whose source bytes this store rewrote can never
     // be installed: the dynamic path re-discovers from the new bytes.
     if (Aot)
-      for (uint32_t Pc :
-           Aot->noteGuestStore(Addr, static_cast<uint32_t>(Size)))
-        unwatchAotUnit(*Aot->find(Pc));
+      unwatchAotUnits(Aot->noteGuestStore(Addr, Size));
     // Victim collection first, mutation after: invalidation edits the
     // per-page index we are reading.
     std::vector<Translation *> Victims;
@@ -784,24 +802,12 @@ private:
       for (Translation *T : It->second) {
         if (!T->Valid)
           continue;
-        bool Overlaps = false;
-        for (const auto &R : T->GuestRanges) {
-          if (R.first < Addr + Size && Addr < R.second) {
-            Overlaps = true;
-            break;
-          }
-        }
-        if (Overlaps &&
+        if (overlapsAny(T->GuestRanges, Addr, Addr + Size) &&
             std::find(Victims.begin(), Victims.end(), T) == Victims.end())
           Victims.push_back(T);
       }
     }
-    // Deterministic retirement order regardless of hash-map iteration:
-    // entry words are unique between flushes.
-    std::sort(Victims.begin(), Victims.end(),
-              [](const Translation *A, const Translation *B) {
-                return A->EntryWord < B->EntryWord;
-              });
+    sortByEntryWord(Victims);
     // The store came from *inside* a victim (a superblock fused the
     // patcher with the code it patches, or a block rewrote its own
     // bytes): quarantining alone is not enough, because the episode
@@ -884,8 +890,7 @@ private:
     // would skip MDA handling without a current proof.  Drop them all;
     // covered code falls back to demand translation under fresh plans.
     if (Aot)
-      for (uint32_t Pc : Aot->dropAll())
-        unwatchAotUnit(*Aot->find(Pc));
+      unwatchAotUnits(Aot->dropAll());
     revokeStaleElides();
   }
 
@@ -917,10 +922,7 @@ private:
         break; // one revoked site retires the whole translation
       }
     }
-    std::sort(Victims.begin(), Victims.end(),
-              [](const Translation *A, const Translation *B) {
-                return A->EntryWord < B->EntryWord;
-              });
+    sortByEntryWord(Victims);
     for (Translation *T : Victims)
       if (T->Valid) // an earlier victim's unchaining cannot kill it,
         invalidate(T); // but stay defensive
@@ -1276,6 +1278,22 @@ private:
 
   // -- chaining ------------------------------------------------------------
 
+  /// Patch exit word \p W of \p Src into a direct branch to \p Target's
+  /// entry and record the incoming edge.  Returns false (the exit keeps
+  /// going through the monitor) if the target is out of branch range or
+  /// the verified patch did not stick.
+  bool chainExit(uint32_t W, const Translation *Src, Translation *Target) {
+    std::optional<uint32_t> Br = branchWord(W, Target->EntryWord);
+    if (!Br || !patchVerified(W, *Br))
+      return false;
+    Target->IncomingChains.push_back(W);
+    ChainCycles += Cost.ChainPatchCycles;
+    ++Chains;
+    Trace.emit(obs::TraceEventKind::BlockChained, Target->GuestPc,
+               Src->GuestPc, W, Target->EntryWord);
+    return true;
+  }
+
   void maybeChain(const ExitInfo &E) {
     if (!Config.EnableChaining)
       return;
@@ -1287,24 +1305,10 @@ private:
         continue;
       if (!X.Direct || X.Chained)
         return;
-      auto TIt = BlockMap.find(X.TargetGuestPc);
-      if (TIt == BlockMap.end() || !TIt->second->Valid)
+      Translation *Target = liveBlock(X.TargetGuestPc);
+      if (!Target || !chainExit(X.SrvWord, Owner, Target))
         return;
-      Translation *Target = TIt->second;
-      int64_t Disp = static_cast<int64_t>(Target->EntryWord) -
-                     (static_cast<int64_t>(X.SrvWord) + 1);
-      if (Disp < -(1 << 20) || Disp >= (1 << 20))
-        return; // out of branch range; keep going through the monitor
-      if (!patchVerified(X.SrvWord,
-                         encodeHost(brInst(HostOp::Br, RegZero,
-                                           static_cast<int32_t>(Disp)))))
-        return; // chain patch failed; keep exiting through the monitor
       X.Chained = true;
-      Target->IncomingChains.push_back(X.SrvWord);
-      ChainCycles += Cost.ChainPatchCycles;
-      ++Chains;
-      Trace.emit(obs::TraceEventKind::BlockChained, X.TargetGuestPc,
-                 Owner->GuestPc, X.SrvWord, Target->EntryWord);
       runVerifier();
       // A backward chain closes a native loop — the hotness signal for
       // superblock formation.  (Chain events, not dispatch counts: a
@@ -1340,10 +1344,9 @@ private:
       return; // a direct exit's Srv word, not an IC fallback
     IcSite &Site = Owner->IcSites[SiteIdx];
     ++IcMisses;
-    auto TIt = BlockMap.find(E.GuestPc);
-    if (TIt == BlockMap.end() || !TIt->second->Valid)
+    Translation *Target = liveBlock(E.GuestPc);
+    if (!Target)
       return; // target not translated yet; a later miss can fill
-    Translation *Target = TIt->second;
     // Victim selection: first empty way, else round-robin eviction.
     // Quarantined (Stale) ways are out of service until the next flush.
     IcWay *Way = nullptr;
@@ -1372,15 +1375,11 @@ private:
         return; // every way quarantined; fall back to the monitor
     }
     uint32_t FinalBr = Way->Begin + IcWayWords - 1;
-    int64_t Disp = static_cast<int64_t>(Target->EntryWord) -
-                   (static_cast<int64_t>(FinalBr) + 1);
-    if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    std::optional<uint32_t> Br = branchWord(FinalBr, Target->EntryWord);
+    if (!Br)
       return; // out of branch range; keep going through the monitor
     if (Evicting) {
-      ++IcEvictions;
-      Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way->TargetGuestPc,
-                 Owner->GuestPc, Way->Begin, 0);
-      if (!retireIcWay(*Way)) {
+      if (!retireIcWay(*Way, Owner, 0)) {
         runVerifier();
         return; // victim quarantined; this fill attempt is abandoned
       }
@@ -1401,8 +1400,7 @@ private:
          encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
                            RegScratch2))},
         {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
-        {FinalBr, encodeHost(brInst(HostOp::Br, RegZero,
-                                    static_cast<int32_t>(Disp)))},
+        {FinalBr, *Br},
     };
     for (const auto &P : Interior) {
       if (!patchVerified(P.first, P.second)) {
@@ -1456,11 +1454,9 @@ private:
       return;
     if (TraceFormsAt[HeadPc] >= Config.TraceFormationLimit)
       return;
-    auto HIt = BlockMap.find(HeadPc);
-    if (HIt == BlockMap.end() || !HIt->second->Valid ||
-        HIt->second->IsTrace)
+    Translation *Head = liveBlock(HeadPc);
+    if (!Head || Head->IsTrace)
       return;
-    Translation *Head = HIt->second;
 
     // Walk direct exits from the head, preferring chained (observed
     // hot) edges, to pick the trace's constituents.
@@ -1470,16 +1466,14 @@ private:
     uint32_t Pc = HeadPc;
     bool ClosedAtHead = false;
     while (Pcs.size() < Config.SuperblockMaxBlocks) {
-      auto It = BlockMap.find(Pc);
-      if (It == BlockMap.end() || !It->second->Valid ||
-          It->second->IsTrace)
+      Translation *T = liveBlock(Pc);
+      if (!T || T->IsTrace)
         break;
       if (!Seen.insert(Pc).second) {
         ClosedAtHead = Pc == HeadPc;
         break; // closed the loop (or revisited): stop
       }
       Pcs.push_back(Pc);
-      Translation *T = It->second;
       for (const auto &KV : T->PlanByPc)
         Plans.insert(KV);
       const ExitSite *Next = nullptr;
@@ -1516,25 +1510,9 @@ private:
 
     ++TraceFormsAt[HeadPc];
     std::vector<GuestBlock> Blocks;
-    uint32_t TotalInsts = 0;
     Blocks.reserve(Pcs.size());
-    for (uint32_t P : Pcs) {
+    for (uint32_t P : Pcs)
       Blocks.push_back(discoverBlock(Mem, P));
-      TotalInsts += static_cast<uint32_t>(Blocks.back().size());
-    }
-    if (Injector && Injector->translateFails()) {
-      ++ChaosTranslateFails;
-      ++TranslateFailures;
-      if (!Policy.translationIsOffline())
-        TranslateCycles += static_cast<uint64_t>(TotalInsts) *
-                           Cost.TranslateCyclesPerInst;
-      Trace.emit(obs::TraceEventKind::TranslationFailed, HeadPc, HeadPc,
-                 0, Head->Generation + 1);
-      if (Hard.TranslationFailureLimit != 0 &&
-          TranslateFailures > Hard.TranslationFailureLimit)
-        Abort = RunError::TranslationFailed;
-      return; // constituents stay in service; no harm done
-    }
     // Each site gets the stronger of its recorded constituent plan and
     // the policy's current verdict: never weaker than the constituent
     // (the identity guarantee PlanByPc exists for), and never weaker
@@ -1550,66 +1528,17 @@ private:
         return Fresh;
       return It->second; // keep the constituent's MDA treatment
     };
-    bool FromCache = false;
-    if (Service) {
-      // Same serving path as installTranslation, keyed over every
-      // constituent (including unroll copies) so the trace's exact
-      // shape is part of the key.
-      TranslationOpts Opts = translationOpts();
-      std::vector<const GuestBlock *> Ptrs;
-      Ptrs.reserve(Blocks.size());
-      for (const GuestBlock &B : Blocks)
-        Ptrs.push_back(&B);
-      CacheKey Key =
-          serviceKey(Ptrs.data(), Ptrs.size(), Plan, Opts, /*IsTrace=*/true);
-      TranslationLease L = Service->acquire(Key);
-      if (L) {
-        Store.push_back(instantiateCached(L.get(), Head->Generation + 1));
-        FromCache = true;
-        ++CacheHits;
-        CacheHitInsts += TotalInsts;
-        Trace.emit(obs::TraceEventKind::CacheHit, HeadPc, HeadPc, Key.Lo,
-                   Head->Generation + 1);
-      } else {
-        Store.push_back(Trans.translateTrace(Blocks, Plan,
-                                             Head->Generation + 1, Opts));
-        uint64_t Evicted = 0;
-        L = Service->publish(Key, captureCached(Store.back()), &Evicted);
-        ++CacheMisses;
-        CacheEvictions += Evicted;
-        Trace.emit(obs::TraceEventKind::CacheMiss, HeadPc, HeadPc, Key.Lo,
-                   Head->Generation + 1);
-        if (Evicted)
-          Trace.emit(obs::TraceEventKind::CacheEvict, HeadPc, HeadPc,
-                     Evicted, 0);
-      }
-      Leases.emplace(&Store.back(), std::move(L));
-    } else {
-      Store.push_back(Trans.translateTrace(Blocks, Plan,
-                                           Head->Generation + 1,
-                                           translationOpts()));
-    }
-    Translation *Tr = &Store.back();
-    Regions[Tr->EntryWord] = {Tr->EndWord, Tr};
-    trackTranslation(Tr);
-    if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(TotalInsts) *
-                         (FromCache ? Cost.CacheInstallCyclesPerInst
-                                    : Cost.TranslateCyclesPerInst);
-    ++TracesFormed;
-    chargeCodeGrowth();
-    checkBudgets();
+    bool Copied = false;
+    Translation *Tr = acquireOrTranslate(Blocks, Plan, Head->Generation + 1,
+                                         /*IsTrace=*/true, Copied);
+    if (!Tr)
+      return; // constituents stay in service; no harm done
     TraceBlocksEmitted += Pcs.size();
-    HTransInsts->record(TotalInsts);
-    Trace.emit(obs::TraceEventKind::TraceFormed, HeadPc, HeadPc,
-               Pcs.size(), Tr->EntryWord);
-    recordFusion(*Tr);
-    if (Config.CodeCacheLimitWords != 0 &&
-        Tr->EndWord - Tr->EntryWord > Config.CodeCacheLimitWords) {
-      // The trace alone would thrash the cache: drop it and stop trying
-      // to form one at this head.
+    if (!installCode(Tr, Copied, TracesFormed,
+                     obs::TraceEventKind::TraceFormed, Pcs.size(),
+                     Tr->EntryWord)) {
+      // Stop trying to form a trace at this head.
       TraceFormsAt[HeadPc] = Config.TraceFormationLimit;
-      invalidate(Tr);
       runVerifier();
       return;
     }
@@ -1619,55 +1548,18 @@ private:
     // monitor forever — the opposite of what the trace is for.
     const std::vector<uint32_t> Incoming = Head->IncomingChains;
     invalidate(Head);
-    BlockMap[HeadPc] = Tr;
-    if (Dispatch)
-      Dispatch->insert(HeadPc, Tr);
+    mapBlock(HeadPc, Tr);
     for (uint32_t W : Incoming) {
       if (StaleChainWords.count(W))
         continue; // the unchain did not stick; leave it quarantined
       Translation *Src = findOwner(W);
-      if (!Src || !Src->Valid)
-        continue; // the head's own backedge, or a dead caller
-      int64_t Disp = static_cast<int64_t>(Tr->EntryWord) -
-                     (static_cast<int64_t>(W) + 1);
-      if (Disp < -(1 << 20) || Disp >= (1 << 20))
-        continue;
-      if (!patchVerified(W, encodeHost(brInst(HostOp::Br, RegZero,
-                                              static_cast<int32_t>(Disp)))))
-        continue; // keep exiting through the monitor (verified restore)
-      Tr->IncomingChains.push_back(W);
-      ChainCycles += Cost.ChainPatchCycles;
-      ++Chains;
-      Trace.emit(obs::TraceEventKind::BlockChained, HeadPc, Src->GuestPc,
-                 W, Tr->EntryWord);
+      if (Src && Src->Valid) // else the head's own backedge, or dead
+        chainExit(W, Src, Tr);
     }
     runVerifier();
   }
 
   // -- shared translation service (docs/SERVING.md) -----------------------
-
-  /// Serialize everything that determines the translator's emission for
-  /// this (multi-)block and hash it into the service cache key: cache
-  /// format version, trace-ness, the block-level options, every
-  /// constituent's start PC and raw guest bytes, and the MemPlan the
-  /// plan chain returns for every planned site (policy decision,
-  /// analysis verdict and ladder override all fold into that value).
-  /// Two runs arriving at the same key are therefore guaranteed the
-  /// same emitted host words — the byte-identity invariant the whole
-  /// serving layer rests on.
-  CacheKey serviceKey(const GuestBlock *const *Blocks, size_t NBlocks,
-                      const Translator::PlanFn &Plan,
-                      const TranslationOpts &Opts, bool IsTrace) {
-    return translationContentKey(Mem, Blocks, NBlocks, Plan, Opts, IsTrace);
-  }
-
-  /// Snapshot a freshly translated block's pristine words and install
-  /// metadata into the relocatable cached form.  Called before any
-  /// chaining/patching can touch the words; hash-map metadata is sorted
-  /// so the published payload is deterministic.
-  CachedTranslation captureCached(const Translation &T) {
-    return captureTranslation(T, Code);
-  }
 
   /// Install a cached translation at this run's arena tail, rebasing
   /// every piece of metadata onto the new entry word.  The private copy
@@ -1947,7 +1839,7 @@ private:
   bool PendingFlush = false;
 };
 
-RunResult ExecutionContext::Impl::run() {
+RunResult ExecutionContext::run() {
   RunResult R;
   bool Guarded = false;
   Trace.emit(obs::TraceEventKind::RunBegin, Cpu.Pc, 0,
@@ -2036,16 +1928,11 @@ RunResult ExecutionContext::Impl::run() {
 #ifndef NDEBUG
       // The table is a pure cache over BlockMap: any divergence is a
       // coherence bug, never a semantic choice.
-      auto It = BlockMap.find(Cpu.Pc);
-      Translation *Ref =
-          (It != BlockMap.end() && It->second->Valid) ? It->second
-                                                      : nullptr;
-      assert(T == Ref && "dispatch table diverged from block map");
+      assert(T == liveBlock(Cpu.Pc) &&
+             "dispatch table diverged from block map");
 #endif
     } else {
-      auto It = BlockMap.find(Cpu.Pc);
-      T = (It != BlockMap.end() && It->second->Valid) ? It->second
-                                                      : nullptr;
+      T = liveBlock(Cpu.Pc);
       if (T)
         MonitorCycles += Cost.MonitorDispatchCycles;
     }
@@ -2057,12 +1944,8 @@ RunResult ExecutionContext::Impl::run() {
     if (!T && Aot) {
       AotTranslator::Unit *U = Aot->find(Cpu.Pc);
       if (U && !U->Stale && !InterpOnly.count(Cpu.Pc)) {
-        if (Config.CodeCacheLimitWords != 0 &&
-            Code.size() > Config.CodeCacheLimitWords) {
-          flushAll();
-          if (Abort != RunError::None)
-            break;
-        }
+        if (!flushIfFull())
+          break;
         T = installAotUnit(*U, /*Sweep=*/true);
         if (Abort != RunError::None)
           break;
@@ -2145,8 +2028,7 @@ RunResult ExecutionContext::Impl::run() {
     std::memset(Mem.data() + guest::layout::RuntimeBase, 0,
                 NextCounterCell - guest::layout::RuntimeBase);
   R.MemoryHash = fnv1a(Mem.data(), Mem.size());
-  R.Cycles = Machine.Cycles + InterpCycles + TranslateCycles +
-             MonitorCycles + ChainCycles;
+  R.Cycles = now();
   Trace.emit(obs::TraceEventKind::RunEnd, Cpu.Pc, 0,
              static_cast<uint64_t>(Err), R.Cycles);
   if (Config.Trace)
@@ -2286,22 +2168,11 @@ RunResult ExecutionContext::Impl::run() {
   return R;
 }
 
-ExecutionContext::ExecutionContext(const guest::GuestImage &Image,
-                                   MdaPolicy &Policy,
-                                   const EngineConfig &Config)
-    : Cfg(Config), I(new Impl(Image, Policy, Cfg)) {}
+} // namespace
 
-ExecutionContext::~ExecutionContext() = default;
-
-RunResult ExecutionContext::run() {
-  if (Used) {
-    // A second run would silently reuse policy state already specialized
-    // by the first; that has produced corrupt figures before.  Hard
-    // error in every build mode, not just under assert.
-    std::fprintf(stderr, "mdabt fatal: ExecutionContext::run() called "
-                         "twice; one context performs exactly one run\n");
-    std::abort();
-  }
-  Used = true;
-  return I->run();
+RunResult mdabt::dbt::executeRun(const guest::GuestImage &Image,
+                                 MdaPolicy &Policy,
+                                 const EngineConfig &Config) {
+  ExecutionContext Ctx(Image, Policy, Config);
+  return Ctx.run();
 }

@@ -5,19 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-run layer of the serving architecture (docs/SERVING.md): one
-/// ExecutionContext owns ALL mutable state of one guest run — guest
-/// memory and registers, the host code arena, trap/patch bookkeeping,
-/// SMC epochs, budgets, degradation-ladder state — and performs the
-/// run's monitor loop.  Translations are either produced locally by the
-/// stateless Translator or, when EngineConfig::Service is set, leased
-/// from the process-wide shared cache; either way the context installs
-/// a private copy in its own CodeSpace, so concurrent runs never share
-/// mutable code.
+/// The per-run layer of the serving architecture (docs/SERVING.md).
+/// executeRun builds one ExecutionContext, which owns ALL mutable state
+/// of one guest run — guest memory and registers, the host code arena,
+/// trap/patch bookkeeping, SMC epochs, budgets, degradation-ladder
+/// state — and performs the run's monitor loop.  Demand blocks,
+/// superblock traces and AOT units all enter the run's private
+/// CodeSpace through one install step; demand blocks and traces come
+/// from one acquire-or-translate step, which leases from the shared
+/// cache when EngineConfig::Service is set and otherwise translates
+/// locally.  Concurrent runs therefore never share mutable code.
 ///
-/// Engine is a thin façade over this class (one Engine::run constructs
-/// one ExecutionContext); benches that drive many runs against one
-/// TranslationService may also use it directly.
+/// Engine::run is the only caller; it enforces the one-run-per-Engine
+/// rule and keeps the config alive for the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,31 +26,14 @@
 
 #include "dbt/Engine.h"
 
-#include <memory>
-
 namespace mdabt {
 namespace dbt {
 
-/// All per-run state of one guest execution.  Single-use: construct,
-/// call run() once, destroy (destruction releases every cache lease the
-/// run still holds).
-class ExecutionContext {
-public:
-  ExecutionContext(const guest::GuestImage &Image, MdaPolicy &Policy,
-                   const EngineConfig &Config);
-  ~ExecutionContext();
-  ExecutionContext(const ExecutionContext &) = delete;
-  ExecutionContext &operator=(const ExecutionContext &) = delete;
-
-  /// Execute the program.  May be called once per context.
-  RunResult run();
-
-private:
-  struct Impl;
-  EngineConfig Cfg; ///< stable copy; Impl holds references into it
-  std::unique_ptr<Impl> I;
-  bool Used = false;
-};
+/// Execute \p Image once under \p Policy with fresh per-run state.
+/// \p Config must outlive the call; every cache lease the run took is
+/// released before it returns.
+RunResult executeRun(const guest::GuestImage &Image, MdaPolicy &Policy,
+                     const EngineConfig &Config);
 
 } // namespace dbt
 } // namespace mdabt

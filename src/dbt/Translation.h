@@ -25,6 +25,18 @@
 namespace mdabt {
 namespace dbt {
 
+/// Guest byte ranges [first, second) a translation was compiled from.
+using GuestRangeList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Whether any of \p Ranges overlaps guest bytes [Lo, Hi).
+inline bool overlapsAny(const GuestRangeList &Ranges, uint32_t Lo,
+                        uint32_t Hi) {
+  for (const auto &R : Ranges)
+    if (R.first < Hi && Lo < R.second)
+      return true;
+  return false;
+}
+
 /// How the translator renders one guest memory operation (paper
 /// Table II's configuration space).
 enum class MemPlan {

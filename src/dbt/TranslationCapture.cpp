@@ -15,8 +15,8 @@ using namespace mdabt;
 using namespace mdabt::dbt;
 
 CacheKey mdabt::dbt::translationContentKey(
-    const guest::GuestMemory &Mem, const GuestBlock *const *Blocks,
-    size_t NBlocks, const Translator::PlanFn &Plan,
+    const guest::GuestMemory &Mem, const GuestBlock *Blocks, size_t NBlocks,
+    const Translator::PlanFn &Plan,
     const TranslationOpts &Opts, bool IsTrace) {
   std::vector<uint8_t> M;
   auto Put8 = [&M](uint8_t V) { M.push_back(V); };
@@ -37,7 +37,7 @@ CacheKey mdabt::dbt::translationContentKey(
   Put32(Opts.FusionMask);
   Put32(static_cast<uint32_t>(NBlocks));
   for (size_t BI = 0; BI != NBlocks; ++BI) {
-    const GuestBlock &B = *Blocks[BI];
+    const GuestBlock &B = Blocks[BI];
     uint32_t Len = B.endPc() - B.StartPc;
     Put32(B.StartPc);
     Put32(Len);
@@ -99,4 +99,23 @@ CachedTranslation mdabt::dbt::captureTranslation(const Translation &T,
     C.FusedSites.push_back({F.Rule, F.GuestLen, F.Begin - Base, F.End - Base,
                             F.GuestPc, F.SavedWords});
   return C;
+}
+
+Acquired mdabt::dbt::acquireOrTranslate(
+    const guest::GuestMemory &Mem, const GuestBlock *Blocks, size_t NBlocks,
+    const Translator::PlanFn &Plan, const TranslationOpts &Opts, bool IsTrace,
+    TranslationService *Service, const host::CodeSpace &Code,
+    const std::function<const Translation &()> &Translate) {
+  Acquired A;
+  A.Key = translationContentKey(Mem, Blocks, NBlocks, Plan, Opts, IsTrace);
+  if (Service)
+    A.Lease = Service->acquire(A.Key);
+  if (A.Lease) {
+    A.FromCache = true;
+    return A;
+  }
+  const Translation &T = Translate();
+  if (Service)
+    A.Lease = Service->publish(A.Key, captureTranslation(T, Code), &A.Evicted);
+  return A;
 }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two pure functions the serving layer's byte-identity contract
-/// rests on, shared by every producer of cached translations — the
-/// per-run install path (`ExecutionContext`) and the static AOT
-/// pre-translator (`AotTranslator`):
+/// The serving layer's byte-identity contract and the one step through
+/// which every producer of translations reaches the shared cache — the
+/// per-run demand and superblock paths (`ExecutionContext`) and the
+/// static AOT pre-translator (`AotTranslator`):
 ///
 ///  * `translationContentKey` serializes everything that determines the
 ///    translator's emission for one (multi-)block — format version,
@@ -19,7 +19,10 @@
 ///  * `captureTranslation` snapshots a freshly translated block's
 ///    pristine words and install metadata into the relocatable
 ///    `CachedTranslation` form (entry-relative, deterministically
-///    sorted).
+///    sorted);
+///  * `acquireOrTranslate` keys a (multi-)block, leases a cached entry
+///    on a hit, and on a miss translates locally and publishes the
+///    capture.
 ///
 /// Keeping both in one place is what lets an AOT-published entry be
 /// byte-for-byte the entry a demand translation of the same bytes under
@@ -38,6 +41,8 @@
 #include "host/CodeSpace.h"
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 
 namespace mdabt {
 namespace dbt {
@@ -47,14 +52,36 @@ namespace dbt {
 /// Two callers arriving at the same key are guaranteed the same emitted
 /// host words.
 CacheKey translationContentKey(const guest::GuestMemory &Mem,
-                               const GuestBlock *const *Blocks,
-                               size_t NBlocks, const Translator::PlanFn &Plan,
+                               const GuestBlock *Blocks, size_t NBlocks,
+                               const Translator::PlanFn &Plan,
                                const TranslationOpts &Opts, bool IsTrace);
 
 /// Snapshot \p T's pristine words (still untouched by chaining or
 /// patching) from \p Code into the relocatable cached form.
 CachedTranslation captureTranslation(const Translation &T,
                                      const host::CodeSpace &Code);
+
+/// What acquireOrTranslate() did for one block or trace.
+struct Acquired {
+  CacheKey Key;
+  /// The shared entry: the one hit, or the one the miss published.
+  /// Empty when no service is attached.
+  TranslationLease Lease;
+  /// A hit: Lease.get() holds the words and nothing was translated.
+  bool FromCache = false;
+  /// Entries the miss's publish evicted to make room.
+  uint64_t Evicted = 0;
+};
+
+/// The acquire-or-translate step: key \p Blocks, and with a \p Service
+/// lease the entry on a hit.  Otherwise \p Translate emits the
+/// translation into \p Code and, with a service, its pristine capture
+/// is published for other producers.
+Acquired acquireOrTranslate(
+    const guest::GuestMemory &Mem, const GuestBlock *Blocks, size_t NBlocks,
+    const Translator::PlanFn &Plan, const TranslationOpts &Opts, bool IsTrace,
+    TranslationService *Service, const host::CodeSpace &Code,
+    const std::function<const Translation &()> &Translate);
 
 } // namespace dbt
 } // namespace mdabt

@@ -197,33 +197,21 @@ struct Cursor {
   size_t At = 0;
   bool Bad = false;
 
-  uint8_t u8() {
-    if (At + 1 > N) {
-      Bad = true;
-      return 0;
-    }
-    return P[At++];
-  }
-  uint32_t u32() {
-    if (At + 4 > N) {
-      Bad = true;
-      return 0;
-    }
-    uint32_t V = 0;
-    for (int S = 0; S != 32; S += 8)
-      V |= static_cast<uint32_t>(P[At++]) << S;
-    return V;
-  }
-  uint64_t u64() {
-    if (At + 8 > N) {
+  /// The next \p Bytes bytes as a little-endian value; 0 (and Bad) on
+  /// overrun.
+  uint64_t take(unsigned Bytes) {
+    if (At + Bytes > N) {
       Bad = true;
       return 0;
     }
     uint64_t V = 0;
-    for (int S = 0; S != 64; S += 8)
+    for (unsigned S = 0; S != Bytes * 8; S += 8)
       V |= static_cast<uint64_t>(P[At++]) << S;
     return V;
   }
+  uint8_t u8() { return static_cast<uint8_t>(take(1)); }
+  uint32_t u32() { return static_cast<uint32_t>(take(4)); }
+  uint64_t u64() { return take(8); }
 };
 
 /// Upper bound on any per-entry element count: generous for real

@@ -904,20 +904,7 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
 
 Translator::StubInfo Translator::emitStub(const HostInst &Faulting,
                                           uint32_t FaultWord) {
-  assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
-         "stub requested for a non-trapping instruction");
-  HostAssembler Asm(Code);
-  StubInfo S;
-  S.Entry = Asm.pos();
-  unsigned Size = hostAccessSize(Faulting.Op);
-  if (isHostLoad(Faulting.Op))
-    emitMdaLoad(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
-  else
-    emitMdaStore(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
-  Asm.brTo(FaultWord + 1);
-  Asm.finish();
-  S.End = Asm.pos();
-  return S;
+  return emitAdaptiveStub(Faulting, FaultWord, 0, 0, /*Threshold=*/0);
 }
 
 Translator::StubInfo Translator::emitAdaptiveStub(
@@ -925,33 +912,34 @@ Translator::StubInfo Translator::emitAdaptiveStub(
     uint32_t MailboxAddr, uint32_t Threshold) {
   assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
          "stub requested for a non-trapping instruction");
-  assert(Threshold >= 1 && Threshold <= 255 &&
-         "threshold must fit an operate literal");
+  assert(Threshold <= 255 && "threshold must fit an operate literal");
   HostAssembler Asm(Code);
   StubInfo S;
   S.Entry = Asm.pos();
   unsigned Size = hostAccessSize(Faulting.Op);
 
-  // Alignment check on the current address (paper Fig. 8, right side:
-  // "instructions to collect runtime information").
-  Asm.lda(RegMdaT2, Faulting.Disp, Faulting.Rb);
-  Asm.opl(HostOp::And, RegMdaT2, static_cast<uint8_t>(Size - 1),
-          RegMdaT0);
-  HostAssembler::Label RunSeq = Asm.newLabel();
-  Asm.bne(RegMdaT0, RunSeq);
-  // Aligned occurrence: bump the counter cell.
-  Asm.materialize32(RegMdaT1, CounterAddr);
-  Asm.mem(HostOp::Ldl, RegMdaT0, 0, RegMdaT1);
-  Asm.opl(HostOp::Addl, RegMdaT0, 1, RegMdaT0);
-  Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
-  Asm.opl(HostOp::Cmpult, RegMdaT0, static_cast<uint8_t>(Threshold),
-          RegMdaT1);
-  Asm.bne(RegMdaT1, RunSeq); // still warming up
-  // Ask the monitor to revert this patch.
-  Asm.materialize32(RegMdaT1, MailboxAddr);
-  Asm.materialize32(RegMdaT0, FaultWord + 1);
-  Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
-  Asm.bind(RunSeq);
+  if (Threshold != 0) {
+    // Alignment check on the current address (paper Fig. 8, right side:
+    // "instructions to collect runtime information").
+    Asm.lda(RegMdaT2, Faulting.Disp, Faulting.Rb);
+    Asm.opl(HostOp::And, RegMdaT2, static_cast<uint8_t>(Size - 1),
+            RegMdaT0);
+    HostAssembler::Label RunSeq = Asm.newLabel();
+    Asm.bne(RegMdaT0, RunSeq);
+    // Aligned occurrence: bump the counter cell.
+    Asm.materialize32(RegMdaT1, CounterAddr);
+    Asm.mem(HostOp::Ldl, RegMdaT0, 0, RegMdaT1);
+    Asm.opl(HostOp::Addl, RegMdaT0, 1, RegMdaT0);
+    Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
+    Asm.opl(HostOp::Cmpult, RegMdaT0, static_cast<uint8_t>(Threshold),
+            RegMdaT1);
+    Asm.bne(RegMdaT1, RunSeq); // still warming up
+    // Ask the monitor to revert this patch.
+    Asm.materialize32(RegMdaT1, MailboxAddr);
+    Asm.materialize32(RegMdaT0, FaultWord + 1);
+    Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
+    Asm.bind(RunSeq);
+  }
   if (isHostLoad(Faulting.Op))
     emitMdaLoad(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
   else

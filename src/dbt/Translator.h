@@ -89,6 +89,7 @@ public:
   /// original memory instruction back in.  This is the "truly adaptive"
   /// method the paper analyzes (and concludes is rarely worth its ~10
   /// instructions of bookkeeping — reproduced by the ablation bench).
+  /// \p Threshold 0 emits the plain stub of emitStub.
   StubInfo emitAdaptiveStub(const host::HostInst &Faulting,
                             uint32_t FaultWord, uint32_t CounterAddr,
                             uint32_t MailboxAddr, uint32_t Threshold);

@@ -16,7 +16,6 @@
 
 #include "TestUtil.h"
 
-#include "dbt/ExecutionContext.h"
 #include "dbt/TranslationService.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
@@ -44,6 +43,12 @@ dbt::EngineConfig servingConfig(dbt::TranslationService *Service) {
   Config.Service = Service;
   return Config;
 }
+
+/// The AOT modes the engine-integration tests serve under: demand
+/// translation only, and hybrid static pre-translation, whose units go
+/// through the same shared cache as demand blocks and traces.
+constexpr dbt::AotMode ServedAotModes[] = {dbt::AotMode::Off,
+                                           dbt::AotMode::Hybrid};
 
 dbt::RunResult runWith(const guest::GuestImage &Image,
                        const mda::PolicySpec &Spec,
@@ -195,45 +200,88 @@ TEST(SharedCacheTest, LeasedEntriesAreNeverEvicted) {
 TEST(ServingTest, ColdRunIdenticalToIsolatedEngine) {
   guest::GuestImage Image = misalignedSumProgram(4000);
   Oracle O = interpretOracle(Image);
+  for (dbt::AotMode Aot : ServedAotModes) {
+    SCOPED_TRACE(dbt::aotModeName(Aot));
+    dbt::EngineConfig Isolated = servingConfig(nullptr);
+    Isolated.Aot = Aot;
+    dbt::RunResult RIso = runWith(Image, ehSpec(), Isolated);
+    expectMatchesOracle(RIso, O, "isolated");
 
-  dbt::EngineConfig Isolated = servingConfig(nullptr);
-  dbt::RunResult RIso = runWith(Image, ehSpec(), Isolated);
-  expectMatchesOracle(RIso, O, "isolated");
-
-  dbt::TranslationService Service;
-  dbt::RunResult RCold = runWith(Image, ehSpec(), servingConfig(&Service));
-  expectMatchesOracle(RCold, O, "cold serving");
-  expectSameRun(RIso, RCold, "cold vs isolated");
-  // A cold run misses on every translation and pays full translation
-  // price, so even the modeled cycle total matches the isolated engine.
-  EXPECT_EQ(RIso.Cycles, RCold.Cycles);
-  EXPECT_EQ(RCold.Counters.get("cache.hits"), 0u);
-  EXPECT_EQ(RCold.Counters.get("cache.misses"),
-            Service.cache().inserts());
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+    dbt::TranslationService Service;
+    dbt::EngineConfig Served = servingConfig(&Service);
+    Served.Aot = Aot;
+    dbt::RunResult RCold = runWith(Image, ehSpec(), Served);
+    expectMatchesOracle(RCold, O, "cold serving");
+    expectSameRun(RIso, RCold, "cold vs isolated");
+    // A cold run misses on every translation and pays full translation
+    // price, so even the modeled cycle total matches the isolated engine.
+    EXPECT_EQ(RIso.Cycles, RCold.Cycles);
+    EXPECT_EQ(RCold.Counters.get("cache.hits"), 0u);
+    EXPECT_EQ(RCold.Counters.get("aot.from_cache"), 0u);
+    // Every entry was published by one of the run's two producers.
+    EXPECT_EQ(RCold.Counters.get("cache.misses") +
+                  RCold.Counters.get("aot.translated"),
+              Service.cache().inserts());
+    EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  }
 }
 
 TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
   guest::GuestImage Image = misalignedSumProgram(4000);
   Oracle O = interpretOracle(Image);
-  dbt::TranslationService Service;
+  for (dbt::AotMode Aot : ServedAotModes) {
+    SCOPED_TRACE(dbt::aotModeName(Aot));
+    dbt::TranslationService Service;
+    dbt::EngineConfig Served = servingConfig(&Service);
+    Served.Aot = Aot;
 
-  dbt::RunResult RCold = runWith(Image, ehSpec(), servingConfig(&Service));
-  dbt::RunResult RWarm = runWith(Image, ehSpec(), servingConfig(&Service));
-  expectMatchesOracle(RWarm, O, "warm serving");
-  expectSameRun(RCold, RWarm, "warm vs cold");
+    dbt::RunResult RCold = runWith(Image, ehSpec(), Served);
+    dbt::RunResult RWarm = runWith(Image, ehSpec(), Served);
+    expectMatchesOracle(RWarm, O, "warm serving");
+    expectSameRun(RCold, RWarm, "warm vs cold");
 
-  // Deterministic replay: the second run re-derives the same keys, so
-  // every translation is a hit and no re-translation happens at all.
-  EXPECT_EQ(RWarm.Counters.get("cache.misses"), 0u);
-  EXPECT_GT(RWarm.Counters.get("cache.hits"), 0u);
-  EXPECT_EQ(RWarm.Counters.get("cache.hits"),
-            RCold.Counters.get("cache.misses"));
-  // Hits are priced CacheInstallCyclesPerInst instead of the full
-  // translation cost: warm modeled translate-cycles must shrink.
-  EXPECT_LT(RWarm.Counters.get("cycles.translate"),
-            RCold.Counters.get("cycles.translate"));
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+    // Deterministic replay: the second run re-derives the same keys, so
+    // every translation is a hit and no re-translation happens at all.
+    EXPECT_EQ(RWarm.Counters.get("cache.misses"), 0u);
+    EXPECT_GT(RWarm.Counters.get("cache.hits"), 0u);
+    EXPECT_EQ(RWarm.Counters.get("cache.hits"),
+              RCold.Counters.get("cache.misses"));
+    // AOT engaged, and the pre-translator acquired every unit the cold
+    // run published.
+    EXPECT_EQ(RWarm.Counters.get("aot.blocks") != 0,
+              Aot != dbt::AotMode::Off);
+    EXPECT_EQ(RWarm.Counters.get("aot.translated"), 0u);
+    EXPECT_EQ(RWarm.Counters.get("aot.from_cache"),
+              RWarm.Counters.get("aot.blocks"));
+    // Hits are priced CacheInstallCyclesPerInst instead of the full
+    // translation cost: warm modeled translate-cycles must shrink.
+    EXPECT_LT(RWarm.Counters.get("cycles.translate"),
+              RCold.Counters.get("cycles.translate"));
+    EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+
+    if (Aot == dbt::AotMode::Off)
+      continue;
+    // Cross-producer byte identity: a demand-only run on the same
+    // service hits the entries the AOT runs published.  AOT implies the
+    // alignment analysis, whose verdicts are part of every plan and so
+    // of every key: the demand run turns it on to derive the same keys.
+    dbt::EngineConfig Demand = servingConfig(&Service);
+    Demand.Analysis = true;
+    uint64_t Inserts = Service.cache().inserts();
+    dbt::RunResult RDemand = runWith(Image, ehSpec(), Demand);
+    expectMatchesOracle(RDemand, O, "demand after AOT");
+    dbt::EngineConfig DemandIsolated = Demand;
+    DemandIsolated.Service = nullptr;
+    expectSameRun(runWith(Image, ehSpec(), DemandIsolated), RDemand,
+                  "demand after AOT vs isolated");
+    // The AOT runs' demand path published only RCold's misses, so any
+    // hit beyond those is a pre-translated unit.
+    EXPECT_GT(RDemand.Counters.get("cache.hits"),
+              RCold.Counters.get("cache.misses"));
+    EXPECT_EQ(RDemand.Counters.get("cache.misses"), 0u);
+    EXPECT_EQ(Service.cache().inserts(), Inserts);
+    EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  }
 }
 
 TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {

@@ -35,6 +35,10 @@ done
 # documented too.
 SERVING_CTX="$ROOT/src/dbt/ExecutionContext.cpp"
 SERVING_BENCH="$ROOT/bench/serving_throughput.cpp"
+if ! grep -q 'addCounter("cache\.' "$SERVING_CTX"; then
+  echo "check_telemetry_docs: no cache.* counters registered in $SERVING_CTX; point SERVING_CTX at the file that registers them" >&2
+  exit 1
+fi
 extra=$(
   sed -n 's/.*addCounter("\(cache\.[a-z_]*\)".*/\1/p' "$SERVING_CTX"
   sed -n 's/.*\\"\(serving_[a-z_]*\|warm_hit_rate\|cold_p[059]*_ms\|warm_p[059]*_ms\)\\".*/\1/p' "$SERVING_BENCH"
