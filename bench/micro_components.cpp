@@ -96,16 +96,14 @@ void BM_TranslateBlock(benchmark::State &State) {
   // The hot loop body block.
   dbt::GuestBlock Entry = dbt::discoverBlock(Mem, Image.Entry);
   dbt::GuestBlock Body = dbt::discoverBlock(Mem, Entry.endPc());
-  host::CodeSpace Code;
-  dbt::Translator Trans(Code);
   uint64_t Insts = 0;
   for (auto _ : State) {
-    dbt::Translation T = Trans.translate(
+    dbt::CachedTranslation P = dbt::Translator::translate(
         Body,
         [](uint32_t, const guest::GuestInst &) {
           return dbt::MemPlan::Inline;
         });
-    benchmark::DoNotOptimize(T.EndWord);
+    benchmark::DoNotOptimize(P.Words.size());
     Insts += Body.size();
   }
   State.SetItemsProcessed(static_cast<int64_t>(Insts));

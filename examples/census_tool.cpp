@@ -18,6 +18,7 @@
 
 #include "dbt/Disassembly.h"
 #include "dbt/GuestBlock.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/Translator.h"
 #include "guest/Encoding.h"
 #include "mda/Policies.h"
@@ -116,15 +117,18 @@ int main(int Argc, char **Argv) {
     }
     dbt::GuestBlock Blk = dbt::discoverBlock(Mem2, BlockStart);
     host::CodeSpace Code;
-    dbt::Translator Trans(Code);
     // DPEH plan: inline the sequence for the known-hot site.
-    dbt::Translation T = Trans.translate(
-        Blk, [&](uint32_t InstPc, const guest::GuestInst &) {
-          auto It = Census.sites().find(InstPc);
-          return It != Census.sites().end() && It->second.Mis != 0
-                     ? dbt::MemPlan::Inline
-                     : dbt::MemPlan::Normal;
-        });
+    dbt::Translation T = dbt::installPayload(
+        Code,
+        dbt::Translator::translate(
+            Blk,
+            [&](uint32_t InstPc, const guest::GuestInst &) {
+              auto It = Census.sites().find(InstPc);
+              return It != Census.sites().end() && It->second.Mis != 0
+                         ? dbt::MemPlan::Inline
+                         : dbt::MemPlan::Normal;
+            }),
+        /*Generation=*/0);
     std::printf("\nDPEH translation of the enclosing block:\n%s",
                 dbt::dumpTranslation(T, Code).c_str());
   }

@@ -20,7 +20,7 @@ AotTranslator::AotTranslator(const guest::GuestMemory &Mem,
                              TranslationService *Service,
                              const host::CostModel &Cost)
     : Mem(Mem), Cfg(Cfg), Plan(std::move(Plan)), Opts(Opts),
-      Service(Service), Cost(Cost), Trans(Scratch) {
+      Service(Service), Cost(Cost) {
   S.RecoveredBlocks = Cfg.Blocks.size();
   S.FrontierSites = Cfg.Frontier.size();
 }
@@ -33,13 +33,9 @@ void AotTranslator::pretranslateAll() {
     // Re-discover through the same decoder the demand path uses; a
     // proven block decodes by construction.
     GuestBlock GB = discoverBlock(Mem, B.StartPc);
-    Translation T;
     Acquired A = acquireOrTranslate(
-        Mem, &GB, 1, Plan, Opts, /*IsTrace=*/false, Service, Scratch,
-        [&]() -> const Translation & {
-          T = Trans.translate(GB, Plan, 0, Opts);
-          return T;
-        });
+        Mem, &GB, 1, Plan, Opts, /*IsTrace=*/false, Service,
+        [&] { return Translator::translate(GB, Plan, Opts); });
     Unit U;
     U.GuestPc = B.StartPc;
     // Warm start when FromCache: a previous run, the disk artifact or a
@@ -52,7 +48,7 @@ void AotTranslator::pretranslateAll() {
       S.StartupTranslateCycles +=
           static_cast<uint64_t>(GB.size()) * Cost.TranslateCyclesPerInst;
     }
-    U.Payload = A.Lease ? A.Lease.get() : captureTranslation(T, Scratch);
+    U.Payload = A.Lease ? A.Lease.get() : std::move(A.Local);
     U.Lease = std::move(A.Lease);
     S.GuestInsts += GB.size();
     Units.emplace(B.StartPc, std::move(U));

@@ -17,13 +17,14 @@
 /// that key, so disk persistence and multi-tenant warm start work
 /// unchanged.
 ///
-/// The pre-translator produces pending *units*, not installed code: the
-/// owning ExecutionContext instantiates a unit into its private arena
-/// either eagerly at load (`AotMode::Full`) or at first dispatch
-/// (`AotMode::Hybrid`), and keeps the payload so a capacity flush can
-/// re-install without re-translating.  Code the recovery pass could not
-/// prove — everything behind an indirect-jump frontier — falls back to
-/// the existing two-phase DBT.
+/// The pre-translator produces pending *units*, not installed code: each
+/// unit is the same relocatable payload the demand path produces, and
+/// the owning ExecutionContext places it with the one install step
+/// (`installPayload`) either eagerly at load (`AotMode::Full`) or at
+/// first dispatch (`AotMode::Hybrid`), keeping the payload so a
+/// capacity flush can re-install without re-translating.  Code the
+/// recovery pass could not prove — everything behind an indirect-jump
+/// frontier — falls back to the existing two-phase DBT.
 ///
 /// Staleness is tracked pessimistically: a guest store overlapping a
 /// pending unit's compiled bytes, a plan revision (supersede, ladder,
@@ -40,7 +41,6 @@
 #include "dbt/TranslationService.h"
 #include "dbt/Translator.h"
 #include "guest/GuestMemory.h"
-#include "host/CodeSpace.h"
 #include "host/CostModel.h"
 
 #include <cstdint>
@@ -52,8 +52,8 @@ namespace dbt {
 
 /// Statically pre-translates the proven-reachable blocks of one guest
 /// image for one run.  Pure over its inputs plus the optional shared
-/// cache; owns a scratch code space so pre-translation never touches
-/// the run's arena.
+/// cache: translation returns payloads and never touches the run's
+/// arena.
 class AotTranslator {
 public:
   /// One pre-translated block, pending installation.
@@ -122,10 +122,6 @@ private:
   TranslationOpts Opts;
   TranslationService *Service;
   const host::CostModel &Cost;
-  /// Private emission arena: payloads are captured out of it in
-  /// relocatable form, so it never aliases the run's code space.
-  host::CodeSpace Scratch;
-  Translator Trans;
   std::map<uint32_t, Unit> Units;
   Stats S;
 };

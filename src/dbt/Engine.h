@@ -108,17 +108,8 @@ const char *aotModeName(AotMode M);
 /// operator can bound how much misbehaviour a run may absorb before it
 /// is reported as a typed failure instead.
 struct HardeningConfig {
-  /// Consecutive no-progress traps at one host word before the
-  /// degradation ladder engages (the trap-storm watchdog).
-  uint32_t WatchdogTrapK = 8;
   /// Watchdog escalations tolerated before the run aborts (TrapStorm).
   uint32_t MaxWatchdogTrips = 256;
-  /// Failed translation attempts for one block before it is pinned
-  /// interpret-only.
-  uint32_t TranslateRetryLimit = 4;
-  /// Re-write attempts for a dropped/torn code-cache patch before the
-  /// previous content is restored and the patch abandoned.
-  uint32_t PatchRepairLimit = 3;
   /// Abandoned patches tolerated before the run aborts (PatchFailed).
   /// 0 = unlimited.
   uint32_t PatchFailureLimit = 0;
@@ -211,19 +202,11 @@ struct EngineConfig {
   /// exit PC in translated code and hit without returning to the
   /// monitor.  Misses fall back to the monitor, which fills a way.
   bool InlineCaches = false;
-  /// Ways per indirect-exit inline cache (clamped to 1..4).
-  uint32_t IcWays = 2;
   /// Form superblocks (straight-line traces across chained direct block
   /// exits) when a backward chain marks a loop head as hot.  The trace
   /// supersedes the head block; de-optimization (trace invalidation)
   /// falls back to the still-installed constituent blocks.
   bool Superblocks = false;
-  /// Backward-chain events into one head before a trace is attempted.
-  uint32_t SuperblockThreshold = 1;
-  /// Maximum constituent blocks per superblock.
-  uint32_t SuperblockMaxBlocks = 8;
-  /// Formation attempts per head PC (bounds retry after de-opt).
-  uint32_t TraceFormationLimit = 8;
 
   /// Table-driven peephole fusion (dbt/FusionRules.h): rewrite short
   /// windows of guest instructions — mov-op chains, compare-branch

@@ -39,6 +39,26 @@ using namespace mdabt::host;
 
 namespace {
 
+/// Inline-cache ways per indirect exit when EngineConfig::InlineCaches
+/// is on.
+constexpr uint32_t IcWays = 2;
+/// Backward-chain events into one head before a superblock is attempted.
+constexpr uint32_t SuperblockThreshold = 1;
+/// Maximum constituent blocks per superblock.
+constexpr uint32_t SuperblockMaxBlocks = 8;
+/// Superblock formation attempts per head PC (bounds retry after
+/// de-opt).
+constexpr uint32_t TraceFormationLimit = 8;
+/// Consecutive no-progress traps at one host word before the
+/// degradation ladder engages (the trap-storm watchdog).
+constexpr uint32_t WatchdogTrapK = 8;
+/// Failed translation attempts for one block before it is pinned
+/// interpret-only.
+constexpr uint32_t TranslateRetryLimit = 4;
+/// Re-write attempts for a dropped or torn code-cache patch before the
+/// previous content is restored and the patch abandoned.
+constexpr uint32_t PatchRepairLimit = 3;
+
 /// The disabled-guard word of an inline-cache way: skip the way's
 /// remaining IcWayWords - 1 words.
 uint32_t icDisabledGuardWord() {
@@ -200,7 +220,7 @@ private:
     // Write \p V until it reads back; the number of tries, 0 if none
     // stuck.
     auto Write = [&](uint32_t V) -> uint32_t {
-      for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
+      for (uint32_t A = 0; A <= PatchRepairLimit; ++A) {
         Code.patch(Word, V);
         if (Code.word(Word) == V)
           return A + 1;
@@ -263,18 +283,11 @@ private:
     return planMemOp(Pc, I);
   };
 
-  /// Inline-cache ways per indirect exit for this run (0 when disabled).
-  uint32_t icWays() const {
-    if (!Config.InlineCaches)
-      return 0;
-    return std::min(4u, std::max(1u, Config.IcWays));
-  }
-
   /// Policy translation options with the engine's dispatch knobs folded
   /// in.
   TranslationOpts translationOpts() {
     TranslationOpts Opts = Policy.translationOpts();
-    Opts.IcWays = icWays();
+    Opts.IcWays = Config.InlineCaches ? IcWays : 0;
     Opts.FusionMask =
         Config.Fusion ? (Config.FusionMask & FusionMaskAll) : 0;
     return Opts;
@@ -314,9 +327,10 @@ private:
   }
 
   /// The acquire-or-translate step of the demand and superblock paths:
-  /// translate \p Blocks (one block, or a trace's constituents) into the
-  /// Store, leased from the shared cache when a service is attached
-  /// (\p Copied: a hit).  Null if the translation failed.
+  /// install the payload of \p Blocks (one block, or a trace's
+  /// constituents) into the Store, leased from the shared cache when a
+  /// service is attached (\p Copied: a hit).  Null if the translation
+  /// failed.
   Translation *acquireOrTranslate(const std::vector<GuestBlock> &Blocks,
                                   const Translator::PlanFn &Plan,
                                   uint32_t Generation, bool IsTrace,
@@ -336,7 +350,7 @@ private:
             static_cast<uint64_t>(Insts) * Cost.TranslateCyclesPerInst;
       Trace.emit(obs::TraceEventKind::TranslationFailed, Pc, Pc,
                  IsTrace ? 0 : TranslateFailsAt[Pc] + 1, Generation);
-      if (!IsTrace && ++TranslateFailsAt[Pc] >= Hard.TranslateRetryLimit) {
+      if (!IsTrace && ++TranslateFailsAt[Pc] >= TranslateRetryLimit) {
         InterpOnly.insert(Pc);
         ++LadderInterpPins;
       }
@@ -348,25 +362,22 @@ private:
     if (!IsTrace)
       TranslateFailsAt.erase(Pc);
     TranslationOpts Opts = translationOpts();
-    auto Translate = [&]() -> const Translation & {
-      Store.push_back(IsTrace ? Trans.translateTrace(Blocks, Plan,
-                                                     Generation, Opts)
-                              : Trans.translate(Blocks.front(), Plan,
-                                                Generation, Opts));
-      return Store.back();
+    auto Produce = [&] {
+      return IsTrace ? Translator::translateTrace(Blocks, Plan, Opts)
+                     : Translator::translate(Blocks.front(), Plan, Opts);
     };
     if (!Service) {
-      Translate();
+      Store.push_back(installPayload(Code, Produce(), Generation));
       return &Store.back();
     }
     // Serving path: keyed over every constituent (including unroll
-    // copies), so a trace's exact shape is part of its key.
-    Acquired A =
-        dbt::acquireOrTranslate(Mem, Blocks.data(), Blocks.size(), Plan, Opts,
-                                IsTrace, Service, Code, Translate);
+    // copies), so a trace's exact shape is part of its key.  A miss
+    // publishes its payload and installs it from the lease like a hit.
+    Acquired A = dbt::acquireOrTranslate(Mem, Blocks.data(), Blocks.size(),
+                                         Plan, Opts, IsTrace, Service, Produce);
+    Store.push_back(installPayload(Code, A.payload(), Generation));
+    Copied = A.FromCache;
     if (A.FromCache) {
-      Store.push_back(instantiateCached(A.Lease.get(), Generation));
-      Copied = true;
       ++CacheHits;
       CacheHitInsts += Insts;
       Trace.emit(obs::TraceEventKind::CacheHit, Pc, Pc, A.Key.Lo,
@@ -710,14 +721,14 @@ private:
       unwatchAotUnits({Pc});
   }
 
-  /// Instantiate one pending AOT unit into the run's arena through the
-  /// shared install step, at cache-install cost (its translate cycles
-  /// were charged at startup).  The verifier, as the AOT output
-  /// checker, sweeps a dropped oversized unit and, when \p Sweep, every
-  /// install — even with EngineConfig::Verify off; the startup batch
-  /// defers to one sweep over the whole pre-populated cache instead.
+  /// Install one pending AOT unit's payload into the run's arena, at
+  /// cache-install cost (its translate cycles were charged at startup).
+  /// The verifier, as the AOT output checker, sweeps a dropped oversized
+  /// unit and, when \p Sweep, every install — even with
+  /// EngineConfig::Verify off; the startup batch defers to one sweep
+  /// over the whole pre-populated cache instead.
   Translation *installAotUnit(const AotTranslator::Unit &U, bool Sweep) {
-    Store.push_back(instantiateCached(U.Payload, /*Generation=*/0));
+    Store.push_back(installPayload(Code, U.Payload, /*Generation=*/0));
     Translation *T = &Store.back();
     T->AotInstalled = true;
     ++AotInstalls;
@@ -1210,7 +1221,7 @@ private:
     LastTrapInsts = Machine.Instructions;
     if (Abort != RunError::None)
       return FaultAction::Halt;
-    if (ConsecutiveTraps > Hard.WatchdogTrapK)
+    if (ConsecutiveTraps > WatchdogTrapK)
       return engageLadder(F);
 
     if (Injector && Injector->lostTrap()) {
@@ -1316,7 +1327,7 @@ private:
       // counter would stop ticking exactly when the loop gets hot.)
       if (Config.Superblocks && Abort == RunError::None &&
           X.TargetGuestPc <= Owner->GuestPc &&
-          ++BackedgeHeat[X.TargetGuestPc] >= Config.SuperblockThreshold)
+          ++BackedgeHeat[X.TargetGuestPc] >= SuperblockThreshold)
         tryFormSuperblock(X.TargetGuestPc);
       return;
     }
@@ -1452,7 +1463,7 @@ private:
     maybeReanalyze();
     if (Abort != RunError::None)
       return;
-    if (TraceFormsAt[HeadPc] >= Config.TraceFormationLimit)
+    if (TraceFormsAt[HeadPc] >= TraceFormationLimit)
       return;
     Translation *Head = liveBlock(HeadPc);
     if (!Head || Head->IsTrace)
@@ -1465,7 +1476,7 @@ private:
     std::unordered_map<uint32_t, MemPlan> Plans;
     uint32_t Pc = HeadPc;
     bool ClosedAtHead = false;
-    while (Pcs.size() < Config.SuperblockMaxBlocks) {
+    while (Pcs.size() < SuperblockMaxBlocks) {
       Translation *T = liveBlock(Pc);
       if (!T || T->IsTrace)
         break;
@@ -1501,7 +1512,7 @@ private:
     // instructions per circuit but multiplies code size (I-cache
     // pressure — exactly the locality figs. 6/11 measure) and
     // translation cycles.
-    if (ClosedAtHead && Pcs.size() * 2 <= Config.SuperblockMaxBlocks) {
+    if (ClosedAtHead && Pcs.size() * 2 <= SuperblockMaxBlocks) {
       const std::vector<uint32_t> Body = Pcs;
       Pcs.insert(Pcs.end(), Body.begin(), Body.end());
     }
@@ -1538,7 +1549,7 @@ private:
                      obs::TraceEventKind::TraceFormed, Pcs.size(),
                      Tr->EntryWord)) {
       // Stop trying to form a trace at this head.
-      TraceFormsAt[HeadPc] = Config.TraceFormationLimit;
+      TraceFormsAt[HeadPc] = TraceFormationLimit;
       runVerifier();
       return;
     }
@@ -1557,70 +1568,6 @@ private:
         chainExit(W, Src, Tr);
     }
     runVerifier();
-  }
-
-  // -- shared translation service (docs/SERVING.md) -----------------------
-
-  /// Install a cached translation at this run's arena tail, rebasing
-  /// every piece of metadata onto the new entry word.  The private copy
-  /// is indistinguishable from a fresh local translation: chains, MDA
-  /// stubs and inline-cache fills mutate only this run's words, never
-  /// the shared entry.  (The emitted words are position-independent:
-  /// all translator-internal control flow is PC-relative and exits
-  /// materialize guest PCs as data, so a straight word copy is a
-  /// correct relocation.)
-  Translation instantiateCached(const CachedTranslation &C,
-                                uint32_t Generation) {
-    uint32_t Base = Code.size();
-    for (uint32_t W : C.Words)
-      Code.append(W);
-    Translation T;
-    T.GuestPc = C.GuestPc;
-    T.EntryWord = Base;
-    T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
-    for (const CachedTranslation::RelExit &E : C.Exits) {
-      ExitSite X;
-      X.SrvWord = Base + E.Word;
-      X.TargetGuestPc = E.TargetGuestPc;
-      X.Direct = E.Direct != 0;
-      T.Exits.push_back(X);
-    }
-    for (const auto &MW : C.MemWordToGuestPc)
-      T.MemWordToGuestPc[Base + MW.first] = MW.second;
-    for (const CachedTranslation::RelResume &R : C.StoreResume)
-      T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
-    T.GuestInsts = C.GuestInsts;
-    T.Generation = Generation;
-    for (const CachedTranslation::RelIcSite &S : C.IcSites) {
-      IcSite Site;
-      Site.SrvWord = Base + S.SrvWord;
-      Site.Ways.reserve(S.WayBegins.size());
-      for (uint32_t W : S.WayBegins) {
-        IcWay Way;
-        Way.Begin = Base + W;
-        Site.Ways.push_back(Way);
-      }
-      T.IcSites.push_back(std::move(Site));
-    }
-    for (const auto &P : C.PlanByPc)
-      T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
-    T.IsTrace = C.IsTrace != 0;
-    T.Constituents = C.Constituents;
-    T.GuestRanges = C.GuestRanges;
-    for (const CachedTranslation::RelFusedSite &F : C.FusedSites) {
-      FusedSite S;
-      S.Rule = F.Rule;
-      S.GuestLen = F.GuestLen;
-      S.Begin = Base + F.Begin;
-      S.End = Base + F.End;
-      S.GuestPc = F.GuestPc;
-      S.SavedWords = F.SavedWords;
-      // The cached payload is the pristine translator output, so the
-      // fused core's reference words come straight from it.
-      S.Words.assign(C.Words.begin() + F.Begin, C.Words.begin() + F.End);
-      T.FusedSites.push_back(std::move(S));
-    }
-    return T;
   }
 
   // -- members ---------------------------------------------------------------

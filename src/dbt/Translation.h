@@ -17,6 +17,7 @@
 #ifndef MDABT_DBT_TRANSLATION_H
 #define MDABT_DBT_TRANSLATION_H
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -111,9 +112,9 @@ struct TranslationOpts {
   /// plain copy remains guarded by the exception handler, so a site that
   /// defies the shared-pattern assumption is still handled correctly.
   bool BlockMultiVersion = false;
-  /// Inline-cache ways to emit at each indirect block exit (0 = none,
-  /// clamped by the engine to 1..4 when EngineConfig::InlineCaches is
-  /// set).  Ways are emitted disabled; the monitor fills them.
+  /// Inline-cache ways to emit at each indirect block exit (0 = none;
+  /// the engine uses 2 when EngineConfig::InlineCaches is set).  Ways
+  /// are emitted disabled; the monitor fills them.
   unsigned IcWays = 0;
   /// Enabled fusion-rule mask (dbt/FusionRules.h; bit i enables rule
   /// id i).  0 disables peephole fusion entirely.
@@ -125,7 +126,7 @@ struct TranslationOpts {
 /// — address arithmetic and memory/ALU/branch ops, but *not* the exit
 /// materialization that may follow a fused compare-branch (exit words
 /// are chained/patched by the monitor).  HostVerifier re-checks the
-/// captured words byte-exactly (invariant 9), skipping words the
+/// recorded words byte-exactly (invariant 9), skipping words the
 /// exception handler has patched to MDA stubs.
 struct FusedSite {
   uint8_t Rule = 0;        ///< FusionRuleId
@@ -134,7 +135,8 @@ struct FusedSite {
   uint32_t GuestPc = 0;    ///< PC of the first fused guest instruction
   uint8_t GuestLen = 0;    ///< guest instructions consumed
   uint32_t SavedWords = 0; ///< estimated host words saved vs unfused
-  /// Word values of [Begin, End), captured after label resolution.
+  /// Word values of [Begin, End) as the translator emitted them (after
+  /// label resolution).
   std::vector<uint32_t> Words;
 };
 
@@ -221,6 +223,63 @@ struct Translation {
   /// recovered-reachable-set invariant (check 10).
   bool AotInstalled = false;
 };
+
+/// The relocatable payload the translator returns for one block or
+/// trace: the pristine host words plus every piece of install metadata,
+/// stored relative to the entry word (word 0) and sorted, so the words
+/// can be installed at any arena base (installPayload in
+/// dbt/TranslationCapture.h).  The same payload is what the shared
+/// cache stores and persists; immutable once published — runs mutate
+/// only their installed copies.
+struct CachedTranslation {
+  uint32_t GuestPc = 0;
+  uint32_t GuestInsts = 0;
+  uint8_t IsTrace = 0;
+  /// The emitted host words; word 0 is the entry.
+  std::vector<uint32_t> Words;
+
+  struct RelExit {
+    uint32_t Word = 0; ///< Srv Exit word, entry-relative
+    uint32_t TargetGuestPc = 0;
+    uint8_t Direct = 0;
+  };
+  std::vector<RelExit> Exits;
+  /// Entry-relative trapping-capable word -> guest inst PC (sorted).
+  std::vector<std::pair<uint32_t, uint32_t>> MemWordToGuestPc;
+  struct RelResume {
+    uint32_t Word = 0;    ///< store-capable word, entry-relative
+    uint32_t EndWord = 0; ///< episode-stop word, entry-relative
+    uint32_t ResumePc = 0;
+  };
+  std::vector<RelResume> StoreResume;
+  /// Guest inst PC -> MemPlan value, sorted by PC.
+  std::vector<std::pair<uint32_t, uint8_t>> PlanByPc;
+  struct RelIcSite {
+    uint32_t SrvWord = 0; ///< entry-relative
+    std::vector<uint32_t> WayBegins;
+  };
+  std::vector<RelIcSite> IcSites;
+  std::vector<uint32_t> Constituents;
+  /// Half-open guest byte ranges the translation compiled.
+  std::vector<std::pair<uint32_t, uint32_t>> GuestRanges;
+  /// Fused peephole sequences (dbt/FusionRules.h), entry-relative.  The
+  /// fused cores' reference words are not stored separately: Words *is*
+  /// the pristine translator output, so installation takes them from
+  /// the slice [Begin, End).
+  struct RelFusedSite {
+    uint8_t Rule = 0;
+    uint8_t GuestLen = 0;
+    uint32_t Begin = 0; ///< entry-relative fused-core start
+    uint32_t End = 0;   ///< entry-relative, one past the core
+    uint32_t GuestPc = 0;
+    uint32_t SavedWords = 0;
+  };
+  std::vector<RelFusedSite> FusedSites;
+
+  /// Approximate heap footprint, for accounting.
+  size_t footprintBytes() const;
+};
+
 
 } // namespace dbt
 } // namespace mdabt

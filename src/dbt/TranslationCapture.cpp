@@ -1,4 +1,4 @@
-//===- dbt/TranslationCapture.cpp - Content keys + capture ----------------==//
+//===- dbt/TranslationCapture.cpp - Content keys + install ----------------==//
 //
 // Part of the MDABT project (CGO 2009 MDA-handling reproduction).
 //
@@ -8,7 +8,6 @@
 
 #include "dbt/FusionRules.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace mdabt;
@@ -58,54 +57,59 @@ CacheKey mdabt::dbt::translationContentKey(
   return cacheKeyFromBytes(M.data(), M.size());
 }
 
-CachedTranslation mdabt::dbt::captureTranslation(const Translation &T,
-                                                 const host::CodeSpace &Code) {
-  CachedTranslation C;
-  C.GuestPc = T.GuestPc;
-  C.GuestInsts = T.GuestInsts;
-  C.IsTrace = T.IsTrace ? 1 : 0;
-  uint32_t Base = T.EntryWord;
-  C.Words.reserve(T.EndWord - Base);
-  for (uint32_t W = Base; W != T.EndWord; ++W)
-    C.Words.push_back(Code.word(W));
-  for (const ExitSite &X : T.Exits)
-    C.Exits.push_back({X.SrvWord - Base, X.TargetGuestPc,
-                       static_cast<uint8_t>(X.Direct ? 1 : 0)});
-  for (const auto &KV : T.MemWordToGuestPc)
-    C.MemWordToGuestPc.push_back({KV.first - Base, KV.second});
-  std::sort(C.MemWordToGuestPc.begin(), C.MemWordToGuestPc.end());
-  for (const auto &KV : T.StoreResume)
-    C.StoreResume.push_back(
-        {KV.first - Base, KV.second.EndWord - Base, KV.second.ResumePc});
-  std::sort(C.StoreResume.begin(), C.StoreResume.end(),
-            [](const CachedTranslation::RelResume &A,
-               const CachedTranslation::RelResume &B) {
-              return A.Word < B.Word;
-            });
-  for (const auto &KV : T.PlanByPc)
-    C.PlanByPc.push_back({KV.first, static_cast<uint8_t>(KV.second)});
-  std::sort(C.PlanByPc.begin(), C.PlanByPc.end());
-  for (const IcSite &S : T.IcSites) {
-    CachedTranslation::RelIcSite RS;
-    RS.SrvWord = S.SrvWord - Base;
-    RS.WayBegins.reserve(S.Ways.size());
-    for (const IcWay &W : S.Ways)
-      RS.WayBegins.push_back(W.Begin - Base);
-    C.IcSites.push_back(std::move(RS));
+Translation mdabt::dbt::installPayload(host::CodeSpace &Code,
+                                       const CachedTranslation &P,
+                                       uint32_t Generation) {
+  uint32_t Base = Code.size();
+  for (uint32_t W : P.Words)
+    Code.append(W);
+  Translation T;
+  T.GuestPc = P.GuestPc;
+  T.EntryWord = Base;
+  T.EndWord = Base + static_cast<uint32_t>(P.Words.size());
+  for (const CachedTranslation::RelExit &E : P.Exits)
+    T.Exits.push_back({Base + E.Word, E.TargetGuestPc, E.Direct != 0,
+                       /*Chained=*/false});
+  for (const auto &MW : P.MemWordToGuestPc)
+    T.MemWordToGuestPc[Base + MW.first] = MW.second;
+  for (const CachedTranslation::RelResume &R : P.StoreResume)
+    T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
+  T.GuestInsts = P.GuestInsts;
+  T.Generation = Generation;
+  for (const CachedTranslation::RelIcSite &S : P.IcSites) {
+    IcSite Site;
+    Site.SrvWord = Base + S.SrvWord;
+    Site.Ways.resize(S.WayBegins.size());
+    for (size_t I = 0; I != S.WayBegins.size(); ++I)
+      Site.Ways[I].Begin = Base + S.WayBegins[I];
+    T.IcSites.push_back(std::move(Site));
   }
-  C.Constituents = T.Constituents;
-  C.GuestRanges = T.GuestRanges;
-  for (const FusedSite &F : T.FusedSites)
-    C.FusedSites.push_back({F.Rule, F.GuestLen, F.Begin - Base, F.End - Base,
-                            F.GuestPc, F.SavedWords});
-  return C;
+  for (const auto &PP : P.PlanByPc)
+    T.PlanByPc[PP.first] = static_cast<MemPlan>(PP.second);
+  T.IsTrace = P.IsTrace != 0;
+  T.Constituents = P.Constituents;
+  T.GuestRanges = P.GuestRanges;
+  for (const CachedTranslation::RelFusedSite &F : P.FusedSites) {
+    FusedSite S;
+    S.Rule = F.Rule;
+    S.GuestLen = F.GuestLen;
+    S.Begin = Base + F.Begin;
+    S.End = Base + F.End;
+    S.GuestPc = F.GuestPc;
+    S.SavedWords = F.SavedWords;
+    // The payload is the pristine translator output, so the fused
+    // core's reference words come straight from it.
+    S.Words.assign(P.Words.begin() + F.Begin, P.Words.begin() + F.End);
+    T.FusedSites.push_back(std::move(S));
+  }
+  return T;
 }
 
 Acquired mdabt::dbt::acquireOrTranslate(
     const guest::GuestMemory &Mem, const GuestBlock *Blocks, size_t NBlocks,
     const Translator::PlanFn &Plan, const TranslationOpts &Opts, bool IsTrace,
-    TranslationService *Service, const host::CodeSpace &Code,
-    const std::function<const Translation &()> &Translate) {
+    TranslationService *Service,
+    const std::function<CachedTranslation()> &Produce) {
   Acquired A;
   A.Key = translationContentKey(Mem, Blocks, NBlocks, Plan, Opts, IsTrace);
   if (Service)
@@ -114,8 +118,9 @@ Acquired mdabt::dbt::acquireOrTranslate(
     A.FromCache = true;
     return A;
   }
-  const Translation &T = Translate();
   if (Service)
-    A.Lease = Service->publish(A.Key, captureTranslation(T, Code), &A.Evicted);
+    A.Lease = Service->publish(A.Key, Produce(), &A.Evicted);
+  else
+    A.Local = Produce();
   return A;
 }

@@ -43,6 +43,7 @@
 #ifndef MDABT_DBT_TRANSLATIONSERVICE_H
 #define MDABT_DBT_TRANSLATIONSERVICE_H
 
+#include "dbt/Translation.h"
 #include "obs/TraceSink.h"
 
 #include <atomic>
@@ -70,59 +71,6 @@ struct CacheKey {
 /// Hash the serialized key material (guest bytes + plans + options)
 /// into a CacheKey.
 CacheKey cacheKeyFromBytes(const uint8_t *Bytes, size_t Size);
-
-/// One cached translation: the pristine host words the translator
-/// emitted plus every piece of install metadata, stored relative to the
-/// entry word so the words can be installed at any arena base.
-/// Immutable once published — runs mutate only their private copies.
-struct CachedTranslation {
-  uint32_t GuestPc = 0;
-  uint32_t GuestInsts = 0;
-  uint8_t IsTrace = 0;
-  /// The emitted host words, [EntryWord, EndWord) at capture time.
-  std::vector<uint32_t> Words;
-
-  struct RelExit {
-    uint32_t Word = 0; ///< Srv Exit word, entry-relative
-    uint32_t TargetGuestPc = 0;
-    uint8_t Direct = 0;
-  };
-  std::vector<RelExit> Exits;
-  /// Entry-relative trapping-capable word -> guest inst PC (sorted).
-  std::vector<std::pair<uint32_t, uint32_t>> MemWordToGuestPc;
-  struct RelResume {
-    uint32_t Word = 0;    ///< store-capable word, entry-relative
-    uint32_t EndWord = 0; ///< episode-stop word, entry-relative
-    uint32_t ResumePc = 0;
-  };
-  std::vector<RelResume> StoreResume;
-  /// Guest inst PC -> MemPlan value, sorted by PC.
-  std::vector<std::pair<uint32_t, uint8_t>> PlanByPc;
-  struct RelIcSite {
-    uint32_t SrvWord = 0; ///< entry-relative
-    std::vector<uint32_t> WayBegins;
-  };
-  std::vector<RelIcSite> IcSites;
-  std::vector<uint32_t> Constituents;
-  /// Half-open guest byte ranges the translation compiled.
-  std::vector<std::pair<uint32_t, uint32_t>> GuestRanges;
-  /// Fused peephole sequences (dbt/FusionRules.h), entry-relative.  The
-  /// fused cores' reference words are not stored separately: the Words
-  /// payload *is* the pristine translator output, so instantiation
-  /// re-derives them from [Begin, End).
-  struct RelFusedSite {
-    uint8_t Rule = 0;
-    uint8_t GuestLen = 0;
-    uint32_t Begin = 0; ///< entry-relative fused-core start
-    uint32_t End = 0;   ///< entry-relative, one past the core
-    uint32_t GuestPc = 0;
-    uint32_t SavedWords = 0;
-  };
-  std::vector<RelFusedSite> FusedSites;
-
-  /// Approximate heap footprint, for accounting.
-  size_t footprintBytes() const;
-};
 
 namespace detail {
 /// One shard-resident entry.  Lease count is atomic so release never

@@ -126,21 +126,49 @@ AddrOperand computeAddress(HostAssembler &Asm, const guest::GuestInst &I) {
 /// guarded — and inline sequences in the misaligned copy).
 enum class MvMode { PerInst, Plain, Sequences };
 
-/// Emits the body of one guest block into the translation being built.
+/// One payload under construction.  The assembler writes a private
+/// arena whose word 0 is the entry, so every word index it returns is
+/// already entry-relative; finish() resolves labels and folds the words
+/// and the plan record into the payload.
+struct PayloadBuilder {
+  CodeSpace Code;
+  HostAssembler Asm{Code};
+  CachedTranslation Out;
+  /// Policy-intent plan per guest PC.  An unrolled trace plans its
+  /// repeated constituents again; the last plan wins.
+  std::map<uint32_t, MemPlan> Plans;
+
+  CachedTranslation finish() {
+    Asm.finish();
+    Out.Words.assign(Code.data(), Code.data() + Code.size());
+    std::sort(Out.MemWordToGuestPc.begin(), Out.MemWordToGuestPc.end());
+    std::sort(Out.StoreResume.begin(), Out.StoreResume.end(),
+              [](const CachedTranslation::RelResume &A,
+                 const CachedTranslation::RelResume &B) {
+                return A.Word < B.Word;
+              });
+    for (const auto &KV : Plans)
+      Out.PlanByPc.push_back({KV.first, static_cast<uint8_t>(KV.second)});
+    return std::move(Out);
+  }
+};
+
+/// Emits the body of one guest block into the payload being built.
 /// Shared between plain block translation (Translator::translate) and
 /// superblock re-emission (Translator::translateTrace); in trace mode
 /// (Continues == true) control flow that stays on the trace falls
 /// through to the next constituent and off-trace edges branch to shared
 /// side-exit labels instead of materializing an exit inline.
 struct BodyEmitter {
-  BodyEmitter(HostAssembler &Asm, Translation &T, const GuestBlock &Block,
+  BodyEmitter(PayloadBuilder &B, const GuestBlock &Block,
               const Translator::PlanFn &Plan, unsigned IcWays,
               uint32_t FusionMask)
-      : Asm(Asm), T(T), Block(Block), Plan(Plan), IcWays(IcWays),
-        Matcher(FusionMask) {}
+      : Asm(B.Asm), Out(B.Out), Plans(B.Plans), Block(Block), Plan(Plan),
+        IcWays(IcWays), Matcher(FusionMask) {}
 
   HostAssembler &Asm;
-  Translation &T;
+  CachedTranslation &Out;
+  std::map<uint32_t, MemPlan> &Plans;
   const GuestBlock &Block;
   const Translator::PlanFn &Plan;
   /// Inline-cache ways to emit before each indirect exit (0 = none).
@@ -184,27 +212,25 @@ struct BodyEmitter {
     }
     Asm.materialize32(RegExitPc, TargetPc);
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, TargetPc, /*Direct=*/true, /*Chained=*/false});
+    Out.Exits.push_back({W, TargetPc, /*Direct=*/1});
   }
 
   /// Indirect exit: RegExitPc already holds the target.  When IcWays is
   /// nonzero, a disabled inline cache (see IcWayWords) is emitted ahead
   /// of the fallback Srv Exit for the monitor to fill.
   void emitIndirectExit() {
-    IcSite Site;
+    CachedTranslation::RelIcSite Site;
     for (unsigned N = 0; N != IcWays; ++N) {
-      IcWay Way;
-      Way.Begin = Asm.emit(
-          brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
+      Site.WayBegins.push_back(Asm.emit(
+          brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1)));
       for (uint32_t K = 1; K != IcWayWords; ++K)
         Asm.op(HostOp::Bis, RegZero, RegZero, RegZero); // nop filler
-      Site.Ways.push_back(Way);
     }
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, 0, /*Direct=*/false, /*Chained=*/false});
+    Out.Exits.push_back({W, 0, /*Direct=*/0});
     if (IcWays != 0) {
       Site.SrvWord = W;
-      T.IcSites.push_back(std::move(Site));
+      Out.IcSites.push_back(std::move(Site));
     }
   }
 
@@ -218,11 +244,11 @@ struct BodyEmitter {
   void recordStoreResume(uint32_t FirstWord, uint32_t ResumePc) {
     uint32_t End = Asm.pos();
     for (uint32_t W = FirstWord; W != End; ++W)
-      T.StoreResume[W] = {End, ResumePc};
+      Out.StoreResume.push_back({W, End, ResumePc});
   }
 
   /// Plan for the memory instruction at \p Idx under MV rendering mode
-  /// \p Mode.  Records the policy-intent plan in Translation::PlanByPc
+  /// \p Mode.  Records the policy-intent plan (the payload's PlanByPc)
   /// so superblock re-emission can reproduce it without the policy.
   MemPlan planFor(size_t Idx, MvMode Mode) {
     const guest::GuestInst &Inst = Block.Insts[Idx];
@@ -236,7 +262,7 @@ struct BodyEmitter {
       P = Plan(Block.InstPcs[Idx], Inst);
       if (Matcher.enabled())
         PlanMemo.emplace(Idx, P);
-      T.PlanByPc[Block.InstPcs[Idx]] = P;
+      Plans[Block.InstPcs[Idx]] = P;
     }
     if (P == MemPlan::MultiVersion) {
       if (Mode == MvMode::Plain)
@@ -248,18 +274,12 @@ struct BodyEmitter {
   }
 
   /// Record one fused sequence whose core words are [Begin, End).  The
-  /// word values themselves are captured after label resolution, by the
-  /// translate entry points.
+  /// word values themselves are the payload's, after label resolution.
   void recordFused(const FusionMatch &M, size_t Idx, uint32_t Begin,
                    uint32_t End) {
-    FusedSite F;
-    F.Rule = static_cast<uint8_t>(M.Rule);
-    F.Begin = Begin;
-    F.End = End;
-    F.GuestPc = Block.InstPcs[Idx];
-    F.GuestLen = static_cast<uint8_t>(M.Length);
-    F.SavedWords = M.SavedWords;
-    T.FusedSites.push_back(std::move(F));
+    Out.FusedSites.push_back({static_cast<uint8_t>(M.Rule),
+                              static_cast<uint8_t>(M.Length), Begin, End,
+                              Block.InstPcs[Idx], M.SavedWords});
   }
 
   /// Baseline lowering of the simple GPR ALU ops a fused window may
@@ -432,12 +452,12 @@ struct BodyEmitter {
       MemPlan PL = planFor(Idx, Mode);
       uint32_t WL = Asm.mem(hostMemOp(I0.Op), Data, A.Disp, A.Base);
       if (Size >= 2 && PL != MemPlan::Elide)
-        T.MemWordToGuestPc[WL] = Block.InstPcs[Idx];
+        Out.MemWordToGuestPc.push_back({WL, Block.InstPcs[Idx]});
       emitSimpleAlu(Block.Insts[Idx + 1]);
       MemPlan PS = planFor(Idx + 2, Mode);
       uint32_t WS = Asm.mem(hostMemOp(St.Op), Data, A.Disp, A.Base);
       if (Size >= 2 && PS != MemPlan::Elide)
-        T.MemWordToGuestPc[WS] = StPc;
+        Out.MemWordToGuestPc.push_back({WS, StPc});
       recordStoreResume(WS, St.nextPc(StPc));
       recordFused(M, Idx, Begin, Asm.pos());
       break;
@@ -462,7 +482,7 @@ struct BodyEmitter {
                            : hostGpr(I.Reg1);
         uint32_t W = Asm.mem(hostMemOp(I.Op), Data, I.Disp, RegScratch0);
         if (guest::accessSize(I.Op) >= 2 && P != MemPlan::Elide)
-          T.MemWordToGuestPc[W] = Pc;
+          Out.MemWordToGuestPc.push_back({W, Pc});
         if (guest::isStore(I.Op))
           recordStoreResume(W, I.nextPc(Pc));
       }
@@ -526,7 +546,7 @@ struct BodyEmitter {
         // site: it can never trap, so the fault path must never be able
         // to resolve it.
         if (Size >= 2 && P != MemPlan::Elide)
-          T.MemWordToGuestPc[W] = Pc;
+          Out.MemWordToGuestPc.push_back({W, Pc});
         if (IsStore)
           recordStoreResume(W, I.nextPc(Pc));
       } else if (P == MemPlan::Inline) {
@@ -758,7 +778,7 @@ struct BodyEmitter {
       Asm.opl(HostOp::Subl, Sp, 4, Sp);
       Asm.materialize32(RegScratch0, RetPc);
       uint32_t W = Asm.mem(HostOp::Stl, RegScratch0, 0, Sp);
-      T.MemWordToGuestPc[W] = Pc;
+      Out.MemWordToGuestPc.push_back({W, Pc});
       // If the return-address push rewrites watched code (pathological
       // but legal), resume at the callee: the push has architecturally
       // completed and the call transfers control next.
@@ -770,7 +790,7 @@ struct BodyEmitter {
     case guest::Opcode::Ret: {
       uint8_t Sp = hostGpr(guest::RegSP);
       uint32_t W = Asm.mem(HostOp::Ldl, RegScratch0, 0, Sp);
-      T.MemWordToGuestPc[W] = Pc;
+      Out.MemWordToGuestPc.push_back({W, Pc});
       Asm.opl(HostOp::Addl, Sp, 4, Sp);
       Asm.mov(RegScratch0, RegExitPc);
       emitIndirectExit();
@@ -788,18 +808,16 @@ struct BodyEmitter {
 
 } // namespace
 
-Translation Translator::translate(const GuestBlock &Block,
-                                  const PlanFn &Plan, uint32_t Generation,
-                                  const TranslationOpts &Opts) {
-  HostAssembler Asm(Code);
-  Translation T;
-  T.GuestPc = Block.StartPc;
-  T.EntryWord = Asm.pos();
-  T.GuestInsts = static_cast<uint32_t>(Block.size());
-  T.Generation = Generation;
-  T.GuestRanges.push_back({Block.StartPc, Block.endPc()});
+CachedTranslation Translator::translate(const GuestBlock &Block,
+                                        const PlanFn &Plan,
+                                        const TranslationOpts &Opts) {
+  PayloadBuilder B;
+  HostAssembler &Asm = B.Asm;
+  B.Out.GuestPc = Block.StartPc;
+  B.Out.GuestInsts = static_cast<uint32_t>(Block.size());
+  B.Out.GuestRanges.push_back({Block.StartPc, Block.endPc()});
 
-  BodyEmitter E(Asm, T, Block, Plan, Opts.IcWays, Opts.FusionMask);
+  BodyEmitter E(B, Block, Plan, Opts.IcWays, Opts.FusionMask);
 
   // Block-granularity multi-version (paper section IV-D): find the
   // first multi-version site; one alignment check there selects between
@@ -838,46 +856,36 @@ Translation Translator::translate(const GuestBlock &Block,
   } else {
     E.emitRange(0, Block.size(), MvMode::PerInst);
   }
-
-  Asm.finish();
-  // Capture each fused core's final word values (after label
-  // resolution) for HostVerifier's byte-exact re-check.
-  for (FusedSite &F : T.FusedSites)
-    for (uint32_t W = F.Begin; W != F.End; ++W)
-      F.Words.push_back(Code.word(W));
-  T.EndWord = Asm.pos();
-  return T;
+  return B.finish();
 }
 
-Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
-                                       const PlanFn &Plan,
-                                       uint32_t Generation,
-                                       const TranslationOpts &Opts) {
+CachedTranslation
+Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
+                           const PlanFn &Plan, const TranslationOpts &Opts) {
   assert(Blocks.size() >= 2 && "a trace spans at least two blocks");
-  HostAssembler Asm(Code);
-  Translation T;
-  T.GuestPc = Blocks.front().StartPc;
-  T.EntryWord = Asm.pos();
-  T.Generation = Generation;
-  T.IsTrace = true;
+  PayloadBuilder B;
+  HostAssembler &Asm = B.Asm;
+  CachedTranslation &P = B.Out;
+  P.GuestPc = Blocks.front().StartPc;
+  P.IsTrace = 1;
 
   // One side-exit stub per unique off-trace target, shared by every
   // constituent (bound after the straight-line body).
   std::map<uint32_t, HostAssembler::Label> SideLabels;
 
-  for (size_t B = 0; B != Blocks.size(); ++B) {
-    const GuestBlock &Blk = Blocks[B];
-    T.Constituents.push_back(Blk.StartPc);
-    T.GuestInsts += static_cast<uint32_t>(Blk.size());
+  for (size_t BI = 0; BI != Blocks.size(); ++BI) {
+    const GuestBlock &Blk = Blocks[BI];
+    P.Constituents.push_back(Blk.StartPc);
+    P.GuestInsts += static_cast<uint32_t>(Blk.size());
     // Guest ranges deduplicated: loop unrolling repeats constituents.
     std::pair<uint32_t, uint32_t> Range{Blk.StartPc, Blk.endPc()};
-    if (std::find(T.GuestRanges.begin(), T.GuestRanges.end(), Range) ==
-        T.GuestRanges.end())
-      T.GuestRanges.push_back(Range);
-    BodyEmitter E(Asm, T, Blk, Plan, Opts.IcWays, Opts.FusionMask);
-    if (B + 1 != Blocks.size()) {
+    if (std::find(P.GuestRanges.begin(), P.GuestRanges.end(), Range) ==
+        P.GuestRanges.end())
+      P.GuestRanges.push_back(Range);
+    BodyEmitter E(B, Blk, Plan, Opts.IcWays, Opts.FusionMask);
+    if (BI + 1 != Blocks.size()) {
       E.Continues = true;
-      E.NextPc = Blocks[B + 1].StartPc;
+      E.NextPc = Blocks[BI + 1].StartPc;
       E.SideLabels = &SideLabels;
     }
     // Constituents render multi-version sites per-instruction even when
@@ -891,15 +899,9 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
     Asm.bind(KV.second);
     Asm.materialize32(RegExitPc, KV.first);
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, KV.first, /*Direct=*/true, /*Chained=*/false});
+    P.Exits.push_back({W, KV.first, /*Direct=*/1});
   }
-
-  Asm.finish();
-  for (FusedSite &F : T.FusedSites)
-    for (uint32_t W = F.Begin; W != F.End; ++W)
-      F.Words.push_back(Code.word(W));
-  T.EndWord = Asm.pos();
-  return T;
+  return B.finish();
 }
 
 Translator::StubInfo Translator::emitStub(const HostInst &Faulting,

@@ -5,15 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Translates one guest basic block into host code at the tail of the
-/// code cache.  The per-memory-operation strategy (normal op / inline
-/// MDA sequence / multi-version code) is supplied by the active policy
-/// through a plan callback, which is the paper's entire design space.
+/// Translates one guest basic block (or a superblock trace) into a
+/// relocatable payload (CachedTranslation): a pure step that touches no
+/// run's code cache.  The per-memory-operation strategy (normal op /
+/// inline MDA sequence / multi-version code) is supplied by the active
+/// policy through a plan callback, which is the paper's entire design
+/// space.  Every payload — demand block, trace, shared-cache entry, AOT
+/// unit — reaches an arena through the one install step, installPayload
+/// (dbt/TranslationCapture.h).
 ///
 /// Also emits the out-of-line MDA stubs the misalignment exception
 /// handler patches in (paper Fig. 5): the stub re-performs the faulting
 /// access with the unaligned-access toolkit and branches back to the
-/// instruction after the patch site.
+/// instruction after the patch site.  Stubs are appended to, and
+/// patched into, the live arena the Translator was built over.
 ///
 /// Register conventions are documented in host/HostISA.h.  Guest state
 /// lives in host registers across blocks; compare-and-branch pairs are
@@ -44,31 +49,31 @@ inline uint8_t hostQ(unsigned Reg) {
   return static_cast<uint8_t>(host::RegQBase + Reg);
 }
 
-/// The block translator.
+/// The block translator and the exception handler's stub emitter.
 class Translator {
 public:
   /// Chooses the plan for the memory instruction at a guest PC.
   using PlanFn =
       std::function<MemPlan(uint32_t InstPc, const guest::GuestInst &)>;
 
+  /// \p Code is the live arena stubs are emitted into and patched.
   explicit Translator(host::CodeSpace &Code) : Code(Code) {}
 
-  /// Translate \p Block at the arena tail.  \p Generation tags
-  /// retranslations (0 for the first translation of a block).
-  Translation translate(const GuestBlock &Block, const PlanFn &Plan,
-                        uint32_t Generation = 0,
-                        const TranslationOpts &Opts = TranslationOpts());
+  /// Translate \p Block into a relocatable payload.
+  static CachedTranslation
+  translate(const GuestBlock &Block, const PlanFn &Plan,
+            const TranslationOpts &Opts = TranslationOpts());
 
   /// Re-emit \p Blocks (>= 2, head first) as one straight-line
-  /// superblock at the arena tail (EngineConfig::Superblocks).  On-trace
-  /// control flow falls through between constituents; off-trace edges
-  /// branch to shared side-exit stubs (one chainable Srv Exit per unique
-  /// target).  \p Plan must reproduce each site's original MDA treatment
-  /// (the engine replays Translation::PlanByPc), so the trace is
+  /// superblock payload (EngineConfig::Superblocks).  On-trace control
+  /// flow falls through between constituents; off-trace edges branch to
+  /// shared side-exit stubs (one chainable Srv Exit per unique target).
+  /// \p Plan must reproduce each site's original MDA treatment (the
+  /// engine replays Translation::PlanByPc), so the trace is
   /// architecturally identical to running its constituents.
-  Translation translateTrace(const std::vector<GuestBlock> &Blocks,
-                             const PlanFn &Plan, uint32_t Generation,
-                             const TranslationOpts &Opts);
+  static CachedTranslation
+  translateTrace(const std::vector<GuestBlock> &Blocks, const PlanFn &Plan,
+                 const TranslationOpts &Opts);
 
   /// An out-of-line MDA stub emitted by the exception handler.
   struct StubInfo {

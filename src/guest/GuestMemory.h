@@ -58,10 +58,14 @@ public:
     std::memset(Bytes.data(), 0, Bytes.size());
     assert(Image.codeEnd() <= Bytes.size() && "code segment out of range");
     assert(Image.dataEnd() <= Bytes.size() && "data segment out of range");
-    std::memcpy(Bytes.data() + Image.CodeBase, Image.Code.data(),
-                Image.Code.size());
-    std::memcpy(Bytes.data() + Image.DataBase, Image.Data.data(),
-                Image.Data.size());
+    // An empty segment's data() may be null, which memcpy forbids even
+    // for zero bytes.
+    if (!Image.Code.empty())
+      std::memcpy(Bytes.data() + Image.CodeBase, Image.Code.data(),
+                  Image.Code.size());
+    if (!Image.Data.empty())
+      std::memcpy(Bytes.data() + Image.DataBase, Image.Data.data(),
+                  Image.Data.size());
   }
 
   /// Load \p Size (1/2/4/8) bytes at \p Addr, zero-extended.

@@ -20,6 +20,7 @@
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
 #include "dbt/TranslationService.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/Translator.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Kernels.h"
@@ -364,11 +365,12 @@ TEST(FusionEmitTest, FusedBlockIsDenserByExactlyTheSavedWords) {
     return MemPlan::Normal;
   };
   host::CodeSpace OffCode, OnCode;
-  Translator Off(OffCode), On(OnCode);
   TranslationOpts OffOpts, OnOpts;
   OnOpts.FusionMask = FusionMaskAll;
-  Translation TOff = Off.translate(Blk, Plan, 0, OffOpts);
-  Translation TOn = On.translate(Blk, Plan, 0, OnOpts);
+  Translation TOff =
+      installPayload(OffCode, Translator::translate(Blk, Plan, OffOpts), 0);
+  Translation TOn =
+      installPayload(OnCode, Translator::translate(Blk, Plan, OnOpts), 0);
 
   EXPECT_TRUE(TOff.FusedSites.empty());
   ASSERT_EQ(TOn.FusedSites.size(), 5u);

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dbt/GuestBlock.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/Translator.h"
 #include "guest/Assembler.h"
 #include "guest/Interpreter.h"
@@ -183,9 +184,12 @@ LoweredState runLowered(const GuestImage &Image) {
   Mem.loadImage(Image);
   dbt::GuestBlock Blk = dbt::discoverBlock(Mem, Image.Entry);
   host::CodeSpace Code;
-  dbt::Translator Trans(Code);
-  dbt::Translation T = Trans.translate(
-      Blk, [](uint32_t, const GuestInst &) { return dbt::MemPlan::Normal; });
+  dbt::Translation T = dbt::installPayload(
+      Code,
+      dbt::Translator::translate(
+          Blk,
+          [](uint32_t, const GuestInst &) { return dbt::MemPlan::Normal; }),
+      /*Generation=*/0);
   MemoryHierarchy Hier;
   host::CostModel Cost;
   host::HostMachine Machine(Code, Mem, Hier, Cost);

@@ -8,6 +8,7 @@
 
 #include "dbt/Disassembly.h"
 #include "dbt/GuestBlock.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/Translator.h"
 #include "guest/NativeSim.h"
 #include "host/HostAssembler.h"
@@ -119,11 +120,13 @@ TEST(DisassemblyTest, DumpAnnotatesTranslation) {
   Mem.loadImage(Image);
   dbt::GuestBlock Blk = dbt::discoverBlock(Mem, Image.Entry);
   host::CodeSpace Code;
-  dbt::Translator Trans(Code);
-  dbt::Translation T = Trans.translate(
-      Blk, [](uint32_t, const guest::GuestInst &) {
-        return dbt::MemPlan::Normal;
-      });
+  dbt::Translation T = dbt::installPayload(
+      Code,
+      dbt::Translator::translate(Blk,
+                                 [](uint32_t, const guest::GuestInst &) {
+                                   return dbt::MemPlan::Normal;
+                                 }),
+      /*Generation=*/0);
   std::string Dump = dbt::dumpTranslation(T, Code);
   EXPECT_NE(Dump.find("may trap"), std::string::npos);
   EXPECT_NE(Dump.find("exit to guest"), std::string::npos);

@@ -399,7 +399,10 @@ std::vector<uint8_t> slurp(const char *Path) {
 void spit(const char *Path, const std::vector<uint8_t> &Bytes) {
   std::FILE *F = std::fopen(Path, "wb");
   ASSERT_NE(F, nullptr);
-  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  // fwrite must not see the null data() of an empty vector.
+  if (!Bytes.empty()) {
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  }
   std::fclose(F);
 }
 

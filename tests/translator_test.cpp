@@ -11,7 +11,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/Translator.h"
 #include "guest/Assembler.h"
 #include "guest/Interpreter.h"
@@ -20,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 using namespace mdabt;
 using namespace mdabt::dbt;
@@ -47,9 +51,11 @@ struct BlockHarness {
 
     // Translated side.
     host::CodeSpace Code;
-    Translator Trans(Code);
-    Translation T = Trans.translate(
-        Block, [&](uint32_t, const guest::GuestInst &) { return Plan; });
+    Translation T = installPayload(
+        Code,
+        Translator::translate(
+            Block, [&](uint32_t, const guest::GuestInst &) { return Plan; }),
+        /*Generation=*/0);
     MemoryHierarchy Hier;
     host::CostModel Cost;
     host::HostMachine Machine(Code, HostMem, Hier, Cost);
@@ -390,10 +396,114 @@ TEST(TranslatorTest, RecordsMemWordMapping) {
   Mem.loadImage(Image);
   GuestBlock Blk = discoverBlock(Mem, Image.Entry);
   host::CodeSpace Code;
-  Translator Trans(Code);
-  Translation T = Trans.translate(
-      Blk, [](uint32_t, const guest::GuestInst &) { return MemPlan::Normal; });
+  Translation T = installPayload(
+      Code,
+      Translator::translate(
+          Blk,
+          [](uint32_t, const guest::GuestInst &) { return MemPlan::Normal; }),
+      /*Generation=*/0);
   EXPECT_EQ(T.MemWordToGuestPc.size(), 2u);
   EXPECT_EQ(T.GuestInsts, Blk.size());
   EXPECT_GT(T.EndWord, T.EntryWord);
+}
+
+TEST(TranslatorTest, PayloadInstallsIdenticallyAtAnyArenaBase) {
+  // A two-block trace: the head stores, carries a fused mov-op pair and
+  // leaves the trace through a direct side exit; the tail ends in an
+  // indirect exit with inline-cache ways.
+  guest::ProgramBuilder B("t");
+  uint32_t Buf = B.dataReserve(64, 8);
+  guest::ProgramBuilder::Label Off = B.newLabel();
+  B.movri(0, static_cast<int32_t>(Buf));
+  B.movri(5, 9);
+  B.stl(guest::mem(0, 0), 5);
+  B.movrr(3, 5);
+  B.add(3, 0); // MovOp
+  B.cmpi(3, 1);
+  B.jcc(guest::Cond::Lt, Off);
+  B.jmpr(3);
+  B.bind(Off);
+  B.halt();
+  guest::GuestImage Image = B.build();
+  guest::GuestMemory Mem;
+  Mem.loadImage(Image);
+  std::vector<GuestBlock> Blocks;
+  Blocks.push_back(discoverBlock(Mem, Image.Entry));
+  Blocks.push_back(discoverBlock(Mem, Blocks.front().endPc()));
+  TranslationOpts Opts;
+  Opts.IcWays = 2;
+  Opts.FusionMask = FusionMaskAll;
+
+  // Translating is pure: the run arena does not grow.
+  constexpr uint32_t N = 37;
+  host::CodeSpace Empty, Filled;
+  for (uint32_t I = 0; I != N; ++I)
+    Filled.append(host::encodeHost(host::opInst(
+        host::HostOp::Bis, host::RegZero, host::RegZero, host::RegZero)));
+  CachedTranslation P = Translator::translateTrace(
+      Blocks,
+      [](uint32_t, const guest::GuestInst &) { return MemPlan::Normal; },
+      Opts);
+  EXPECT_EQ(Filled.size(), N);
+  ASSERT_EQ(P.IcSites.size(), 1u);
+  EXPECT_EQ(P.IcSites.front().WayBegins.size(), 2u);
+  EXPECT_TRUE(std::any_of(P.Exits.begin(), P.Exits.end(),
+                          [](const CachedTranslation::RelExit &X) {
+                            return X.Direct != 0;
+                          }));
+  ASSERT_FALSE(P.StoreResume.empty());
+  ASSERT_FALSE(P.FusedSites.empty());
+
+  Translation TA = installPayload(Empty, P, /*Generation=*/0);
+  Translation TB = installPayload(Filled, P, /*Generation=*/0);
+  ASSERT_EQ(TA.EntryWord, 0u);
+  ASSERT_EQ(TB.EntryWord, N);
+  ASSERT_EQ(TB.EndWord - TB.EntryWord, P.Words.size());
+  EXPECT_EQ(TB.EndWord, TA.EndWord + N);
+
+  // Identical words at both bases.
+  for (uint32_t I = 0; I != P.Words.size(); ++I) {
+    EXPECT_EQ(Empty.word(TA.EntryWord + I), P.Words[I]) << "word " << I;
+    EXPECT_EQ(Filled.word(TB.EntryWord + I), P.Words[I]) << "word " << I;
+  }
+
+  // Every metadata word index moves by exactly N.
+  ASSERT_EQ(TA.Exits.size(), TB.Exits.size());
+  for (size_t I = 0; I != TA.Exits.size(); ++I)
+    EXPECT_EQ(TB.Exits[I].SrvWord, TA.Exits[I].SrvWord + N);
+  ASSERT_EQ(TA.MemWordToGuestPc.size(), TB.MemWordToGuestPc.size());
+  for (const auto &KV : TA.MemWordToGuestPc) {
+    auto It = TB.MemWordToGuestPc.find(KV.first + N);
+    ASSERT_NE(It, TB.MemWordToGuestPc.end());
+    EXPECT_EQ(It->second, KV.second);
+  }
+  ASSERT_EQ(TA.StoreResume.size(), TB.StoreResume.size());
+  for (const auto &KV : TA.StoreResume) {
+    auto It = TB.StoreResume.find(KV.first + N);
+    ASSERT_NE(It, TB.StoreResume.end());
+    EXPECT_EQ(It->second.EndWord, KV.second.EndWord + N);
+    EXPECT_EQ(It->second.ResumePc, KV.second.ResumePc);
+  }
+  ASSERT_EQ(TA.IcSites.size(), TB.IcSites.size());
+  for (size_t I = 0; I != TA.IcSites.size(); ++I) {
+    EXPECT_EQ(TB.IcSites[I].SrvWord, TA.IcSites[I].SrvWord + N);
+    ASSERT_EQ(TA.IcSites[I].Ways.size(), TB.IcSites[I].Ways.size());
+    for (size_t W = 0; W != TA.IcSites[I].Ways.size(); ++W)
+      EXPECT_EQ(TB.IcSites[I].Ways[W].Begin,
+                TA.IcSites[I].Ways[W].Begin + N);
+  }
+
+  // Fused-site reference words are the payload slice, at either base.
+  ASSERT_EQ(TB.FusedSites.size(), P.FusedSites.size());
+  ASSERT_EQ(TA.FusedSites.size(), P.FusedSites.size());
+  for (size_t I = 0; I != P.FusedSites.size(); ++I) {
+    const CachedTranslation::RelFusedSite &R = P.FusedSites[I];
+    std::vector<uint32_t> Slice(P.Words.begin() + R.Begin,
+                                P.Words.begin() + R.End);
+    EXPECT_EQ(TA.FusedSites[I].Begin, R.Begin);
+    EXPECT_EQ(TB.FusedSites[I].Begin, R.Begin + N);
+    EXPECT_EQ(TB.FusedSites[I].End, R.End + N);
+    EXPECT_EQ(TA.FusedSites[I].Words, Slice);
+    EXPECT_EQ(TB.FusedSites[I].Words, Slice);
+  }
 }

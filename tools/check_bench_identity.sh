@@ -3,8 +3,11 @@
 # byte-identical before and after a change that claims to keep modeled
 # behaviour.  Builds <base-ref> (exported with `git archive`, so the
 # repository's .git is never touched) and the working tree, both
-# Release, runs each bench below on both builds, and diffs their stdout
-# plus trace_inspect's trace_demo.jsonl and trace_demo.metrics.json.
+# Release, runs each bench below on both builds, and diffs their stdout,
+# the translation-cache artifact serving_throughput saves
+# (serving_cache.bin: the on-disk cache must stay byte-identical when
+# the code that produces translations changes) and trace_inspect's
+# trace_demo.jsonl and trace_demo.metrics.json.
 # Stderr (wall-clock advisories) is kept out of the diff.  Exits nonzero
 # on any difference or if a bench cannot be built.
 #
@@ -42,7 +45,7 @@ declare -A ARGS=(
   [ablation_fusion]="--refs 60000"
   [ablation_aot]="--refs 60000"
   [ablation_smc]=""
-  [serving_throughput]="--requests 120"
+  [serving_throughput]="--requests 120 --cache-file serving_cache.bin"
 )
 
 # build SIDE SRC: configure and build SRC into $WORK/SIDE/build.
@@ -82,7 +85,8 @@ run base
 run head
 
 status=0
-for f in "${BENCHES[@]/%/.txt}" trace_demo.jsonl trace_demo.metrics.json; do
+for f in "${BENCHES[@]/%/.txt}" serving_cache.bin trace_demo.jsonl \
+  trace_demo.metrics.json; do
   if cmp -s "$WORK/base/out/$f" "$WORK/head/out/$f"; then
     echo "identical: $f"
   else
