@@ -174,9 +174,9 @@ void BM_MdaStubGeneration(benchmark::State &State) {
   uint64_t Count = 0;
   for (auto _ : State) {
     host::CodeSpace Code;
-    dbt::Translator Trans(Code);
     for (int I = 0; I != 64; ++I) {
-      dbt::Translator::StubInfo S = Trans.emitStub(Faulting, 0);
+      dbt::Translator::StubInfo S =
+          dbt::Translator::emitStub(Code, Faulting, 0);
       benchmark::DoNotOptimize(S.End);
     }
     Count += 64;

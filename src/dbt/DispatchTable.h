@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hash-table monitor dispatch structure behind
-/// EngineConfig::HashDispatch: an open-addressed guest-PC -> Translation
-/// table with linear probing and tombstone deletion, modeled on the
+/// The engine's one guest-PC -> Translation map: an open-addressed table
+/// with linear probing and tombstone deletion, modeled on the
 /// translation-lookup fast path of production DBT monitors (one probe +
-/// indirect jump on a hit instead of an ordered-map walk).  The table is
-/// a pure cache over the engine's authoritative BlockMap: every entry
-/// holds a currently-valid translation, entries are erased on
+/// indirect jump on a hit instead of an ordered-map walk).  Every entry
+/// holds a currently-valid translation: entries are erased on
 /// invalidation and the whole table is dropped on a cache flush, so a
 /// hit can be trusted without revalidation.  lookup() reports the probe
-/// count so the engine can charge CostModel::DispatchTableHitCycles /
-/// DispatchProbeCycles faithfully.
+/// count so that, under EngineConfig::HashDispatch, the engine can
+/// charge CostModel::DispatchTableHitCycles / DispatchProbeCycles
+/// faithfully; without it the same lookup is priced as the modeled
+/// ordered-map walk (MonitorDispatchCycles).
 ///
 //===----------------------------------------------------------------------===//
 

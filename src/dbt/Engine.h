@@ -192,10 +192,13 @@ struct EngineConfig {
   // CPU state — are bit-identical for every combination, only modeled
   // cycles and host-code layout change) ------------------------------
 
-  /// Replace the monitor's per-dispatch block-map lookup with an
-  /// open-addressed PC -> host-entry hash table (DispatchTable): a hit
-  /// costs CostModel::DispatchTableHitCycles instead of
-  /// MonitorDispatchCycles; a miss falls into translate-on-miss.
+  /// Price the monitor's per-dispatch lookup as a probe of an
+  /// open-addressed PC -> host-entry hash table instead of an ordered-map
+  /// walk: a hit costs CostModel::DispatchTableHitCycles (plus
+  /// DispatchProbeCycles per extra probe) instead of
+  /// MonitorDispatchCycles; a miss falls into translate-on-miss.  The
+  /// engine's one PC map (DispatchTable) is the same either way, so only
+  /// modeled cycles and the dispatch.table_* counters change.
   bool HashDispatch = false;
   /// Emit a small tagged inline cache at every indirect block exit
   /// (Ret/JmpR): recently seen targets are compared against the live

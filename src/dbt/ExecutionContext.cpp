@@ -59,19 +59,6 @@ constexpr uint32_t TranslateRetryLimit = 4;
 /// previous content is restored and the patch abandoned.
 constexpr uint32_t PatchRepairLimit = 3;
 
-/// The disabled-guard word of an inline-cache way: skip the way's
-/// remaining IcWayWords - 1 words.
-uint32_t icDisabledGuardWord() {
-  return encodeHost(
-      brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
-}
-
-/// Canonical host nop (bis r31, r31, r31), used to scrub retired
-/// inline-cache branch words.
-uint32_t hostNopWord() {
-  return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
-}
-
 /// The unconditional branch word at code word \p At that lands on word
 /// \p Target, or nothing if the displacement is out of branch range
 /// (the exit then keeps going through the monitor).
@@ -101,7 +88,7 @@ public:
                    const EngineConfig &Config)
       : Policy(Policy), Config(Config), Cost(Config.Cost),
         Hard(Config.Hardening), Interp(Mem),
-        Machine(Code, Mem, Hier, Cost), Trans(Code), Profiler(*this),
+        Machine(Code, Mem, Hier, Cost), Profiler(*this),
         Trace(Config.Trace, this),
         HTransInsts(&Reg.histogram("translate.block_insts")),
         HTrapBlock(&Reg.histogram("trap.block_faults")),
@@ -117,8 +104,6 @@ public:
     Mem.setWriteWatcher([this](uint32_t Addr, unsigned Size) {
       onGuestCodeStore(Addr, Size);
     });
-    if (Config.HashDispatch)
-      Dispatch.emplace();
     // Static alignment inference over this run's own image copy (one
     // run = one isolated world, so --jobs fan-out stays bit-exact).
     // Like static profiling, the pass is modeled as offline work and
@@ -312,18 +297,10 @@ private:
                T.FusedSites.size(), Saved);
   }
 
-  /// The live translation the block map holds for guest \p Pc, if any.
+  /// The live translation dispatched for guest \p Pc, if any.
   Translation *liveBlock(uint32_t Pc) {
-    auto It = BlockMap.find(Pc);
-    return It != BlockMap.end() && It->second->Valid ? It->second : nullptr;
-  }
-
-  /// Enter \p T into the block map and, when enabled, the dispatch
-  /// table as the translation to dispatch for guest \p Pc.
-  void mapBlock(uint32_t Pc, Translation *T) {
-    BlockMap[Pc] = T;
-    if (Dispatch)
-      Dispatch->insert(Pc, T);
+    uint32_t Probes = 0;
+    return Dispatch.lookup(Pc, Probes);
   }
 
   /// The acquire-or-translate step of the demand and superblock paths:
@@ -405,7 +382,7 @@ private:
                    obs::TraceEventKind Kind, uint64_t A, uint64_t B) {
     Regions[T->EntryWord] = {T->EndWord, T};
     if (!T->IsTrace)
-      mapBlock(T->GuestPc, T);
+      Dispatch.insert(T->GuestPc, T);
     trackTranslation(T);
     if (!Policy.translationIsOffline())
       TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
@@ -467,14 +444,15 @@ private:
     Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
                Owner->GuestPc, Way.Begin, Why);
     uint32_t FinalBr = Way.Begin + IcWayWords - 1;
-    if (!patchVerified(Way.Begin, icDisabledGuardWord())) {
+    if (!patchVerified(Way.Begin, Translator::icWayDisabledWord(0))) {
       Way.Stale = true;
       Way.Filled = false;
       StaleChainWords.insert(FinalBr);
       return false;
     }
     Way.Filled = false;
-    if (!patchVerified(FinalBr, hostNopWord()))
+    if (!patchVerified(FinalBr,
+                       Translator::icWayDisabledWord(IcWayWords - 1)))
       StaleChainWords.insert(FinalBr);
     return true;
   }
@@ -489,8 +467,7 @@ private:
     // revocation, ladder) also invalidates the statically computed
     // plans of its pending AOT unit: never re-install those.
     dropAotUnit(Old->GuestPc);
-    if (Dispatch)
-      Dispatch->eraseIf(Old->GuestPc, Old);
+    Dispatch.eraseIf(Old->GuestPc, Old);
     HTrapBlock->record(Old->FaultCount);
     Trace.emit(obs::TraceEventKind::BlockInvalidated, 0, Old->GuestPc,
                Old->FaultCount, Old->Generation);
@@ -622,14 +599,12 @@ private:
     assert(Mem.watchedPages() == AotWatchRef.size() &&
            "write-watch refcounts must drain on flush");
     Code.clear();
-    BlockMap.clear();
     Regions.clear();
     Store.clear();
     Leases.clear(); // release every shared-cache lease with the arena
     PatchedOriginals.clear();
     StaleChainWords.clear();
-    if (Dispatch)
-      Dispatch->clear();
+    Dispatch.clear();
     assert(StaleChainWords.empty() &&
            "stale-chain quarantine must drain on flush");
     PendingFlush = false;
@@ -1097,9 +1072,11 @@ private:
     // sequence in the code cache and patch the offending instruction.
     Translator::StubInfo S;
     bool Adaptive = D.AdaptiveStub;
-    if (Adaptive && NextCounterCell + 4 > Mem.size()) {
-      // Runtime counter cells exhausted: degrade to a plain stub rather
-      // than corrupting guest memory.
+    if (Adaptive && (D.RevertThreshold == 0 || D.RevertThreshold > 255 ||
+                     NextCounterCell + 4 > Mem.size())) {
+      // A revert threshold the stub's 8-bit compare literal cannot
+      // hold, or exhausted runtime counter cells: degrade to a plain
+      // stub rather than aborting or corrupting guest memory.
       Adaptive = false;
       ++StubDowngrades;
     }
@@ -1111,10 +1088,10 @@ private:
       NextCounterCell += 4;
       Mem.store(CounterAddr, 4, 0);
       PatchedOriginals[F.HostPc] = {Code.word(F.HostPc), InstPc};
-      S = Trans.emitAdaptiveStub(F.Inst, F.HostPc, CounterAddr,
-                                 MailboxAddr, D.RevertThreshold);
+      S = Translator::emitStub(Code, F.Inst, F.HostPc, CounterAddr,
+                               MailboxAddr, D.RevertThreshold);
     } else {
-      S = Trans.emitStub(F.Inst, F.HostPc);
+      S = Translator::emitStub(Code, F.Inst, F.HostPc);
     }
     Trace.emit(obs::TraceEventKind::StubEmitted, InstPc, T->GuestPc,
                S.Entry, Adaptive ? 1 : 0);
@@ -1398,23 +1375,10 @@ private:
     // Interiors first (tag compare, miss skip, target branch), guard
     // last: the way only becomes executable once fully written.
     uint32_t Tag = Target->GuestPc;
-    int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
-    int32_t Hi =
-        static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
-    const std::pair<uint32_t, uint32_t> Interior[] = {
-        {Way->Begin + 1,
-         encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1))},
-        {Way->Begin + 2,
-         encodeHost(opInst(HostOp::Zextl, RegZero, RegScratch1,
-                           RegScratch1))},
-        {Way->Begin + 3,
-         encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
-                           RegScratch2))},
-        {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
-        {FinalBr, *Br},
-    };
-    for (const auto &P : Interior) {
-      if (!patchVerified(P.first, P.second)) {
+    const std::array<uint32_t, IcWayWords> Words =
+        Translator::icWayFilledWords(Tag, *Br);
+    for (uint32_t K = 1; K != IcWayWords; ++K) {
+      if (!patchVerified(Way->Begin + K, Words[K])) {
         // patchVerified restored the word (or quarantined the run); the
         // guard is still disabled, so the way stays safely inert.
         ++IcFillFails;
@@ -1422,13 +1386,12 @@ private:
         return;
       }
     }
-    if (!patchVerified(Way->Begin,
-                       encodeHost(memInst(HostOp::Ldah, RegScratch1, Hi,
-                                          RegZero)))) {
+    if (!patchVerified(Way->Begin, Words[0])) {
       // Guard never armed, but FinalBr now holds a live branch the
       // verifier cannot tie to a filled way: scrub it.
       ++IcFillFails;
-      if (!patchVerified(FinalBr, hostNopWord()))
+      if (!patchVerified(FinalBr,
+                         Translator::icWayDisabledWord(IcWayWords - 1)))
         StaleChainWords.insert(FinalBr);
       runVerifier();
       return;
@@ -1451,9 +1414,9 @@ private:
 
   /// Re-emit the hot chain of blocks starting at \p HeadPc as one
   /// straight-line superblock (EngineConfig::Superblocks).  The trace
-  /// supersedes the head block in the block map; constituents' recorded
-  /// MemPlans are replayed so every memory site keeps its exact MDA
-  /// treatment.  De-optimization is ordinary invalidation: the trace
+  /// supersedes the head block in the dispatch table; constituents'
+  /// recorded MemPlans are replayed so every memory site keeps its exact
+  /// MDA treatment.  De-optimization is ordinary invalidation: the trace
   /// falls back to the still-installed constituent blocks.
   void tryFormSuperblock(uint32_t HeadPc) {
     if (Abort != RunError::None || InterpOnly.count(HeadPc))
@@ -1559,7 +1522,7 @@ private:
     // monitor forever — the opposite of what the trace is for.
     const std::vector<uint32_t> Incoming = Head->IncomingChains;
     invalidate(Head);
-    mapBlock(HeadPc, Tr);
+    Dispatch.insert(HeadPc, Tr);
     for (uint32_t W : Incoming) {
       if (StaleChainWords.count(W))
         continue; // the unchain did not stick; leave it quarantined
@@ -1583,7 +1546,6 @@ private:
   CodeSpace Code;
   MemoryHierarchy Hier;
   HostMachine Machine;
-  Translator Trans;
   InterpProfiler Profiler;
 
   // -- observability -----------------------------------------------------
@@ -1603,15 +1565,15 @@ private:
   obs::Histogram *HTrapBlock;
   obs::Histogram *HInterpInsts;
 
-  std::unordered_map<uint32_t, Translation *> BlockMap;
   std::unordered_map<uint32_t, uint32_t> Heat;
   std::deque<Translation> Store;
   /// Host-word region -> owning translation (bodies and stubs).
   std::map<uint32_t, std::pair<uint32_t, Translation *>> Regions;
 
-  /// Hash-table monitor dispatch (EngineConfig::HashDispatch); a pure
-  /// cache over BlockMap, kept coherent at install/invalidate/flush.
-  std::optional<DispatchTable> Dispatch;
+  /// The engine's one guest-PC -> live translation map, kept coherent
+  /// at install/invalidate/flush.  EngineConfig::HashDispatch only
+  /// selects how a monitor lookup in it is priced.
+  DispatchTable Dispatch;
   /// Backward-chain events per loop-head PC (superblock hotness).
   std::unordered_map<uint32_t, uint32_t> BackedgeHeat;
   /// Formation attempts per head PC (bounds retry after de-opt).
@@ -1853,12 +1815,11 @@ RunResult ExecutionContext::run() {
       }
     }
 
-    Translation *T = nullptr;
-    if (Dispatch) {
-      // Hash-table dispatch: one open-addressed probe chain instead of
-      // the block-map walk; each probe is priced individually.
-      uint32_t Probes = 0;
-      T = Dispatch->lookup(Cpu.Pc, Probes);
+    uint32_t Probes = 0;
+    Translation *T = Dispatch.lookup(Cpu.Pc, Probes);
+    if (Config.HashDispatch) {
+      // Hash-table pricing: one open-addressed probe chain instead of
+      // the modeled ordered-map walk; each probe is priced individually.
       TableProbes += Probes;
       if (T) {
         ++TableHits;
@@ -1866,22 +1827,14 @@ RunResult ExecutionContext::run() {
             Cost.DispatchTableHitCycles +
             static_cast<uint64_t>(Probes - 1) * Cost.DispatchProbeCycles;
       } else {
-        // Miss: like the baseline block-map path, the failed lookup is
+        // Miss: like the baseline ordered-map pricing, the failed lookup is
         // folded into the interpretation/translation episode it starts
         // (charging it here would penalize the table for misses the
         // baseline never prices).  Probes are still counted.
         ++TableMisses;
       }
-#ifndef NDEBUG
-      // The table is a pure cache over BlockMap: any divergence is a
-      // coherence bug, never a semantic choice.
-      assert(T == liveBlock(Cpu.Pc) &&
-             "dispatch table diverged from block map");
-#endif
-    } else {
-      T = liveBlock(Cpu.Pc);
-      if (T)
-        MonitorCycles += Cost.MonitorDispatchCycles;
+    } else if (T) {
+      MonitorCycles += Cost.MonitorDispatchCycles;
     }
 
     // Dispatch miss with a pending pre-translated unit: install it now,
@@ -2048,11 +2001,11 @@ RunResult ExecutionContext::run() {
     Reg.addCounter("dispatch.table_hits", TableHits);
     Reg.addCounter("dispatch.table_misses", TableMisses);
     Reg.addCounter("dispatch.table_probes", TableProbes);
-    Reg.addCounter("dispatch.table_inserts", Dispatch->inserts());
-    Reg.addCounter("dispatch.table_erases", Dispatch->erases());
-    Reg.addCounter("dispatch.table_rehashes", Dispatch->rehashes());
-    Reg.setGauge("dispatch.table_capacity", Dispatch->capacity());
-    Reg.setGauge("dispatch.table_tombstones", Dispatch->tombstones());
+    Reg.addCounter("dispatch.table_inserts", Dispatch.inserts());
+    Reg.addCounter("dispatch.table_erases", Dispatch.erases());
+    Reg.addCounter("dispatch.table_rehashes", Dispatch.rehashes());
+    Reg.setGauge("dispatch.table_capacity", Dispatch.capacity());
+    Reg.setGauge("dispatch.table_tombstones", Dispatch.tombstones());
   }
   if (Config.InlineCaches) {
     Reg.addCounter("dispatch.ic_fills", IcFills);

@@ -43,7 +43,8 @@ struct FaultDecision {
   /// the original instruction back once the access pattern flips back to
   /// aligned.  Only meaningful with PatchStub.
   bool AdaptiveStub = false;
-  /// Aligned-execution count that triggers the revert (1..255).
+  /// Aligned-execution count that triggers the revert (1..255; any
+  /// other value gets a plain stub, counted in harden.stub_downgrades).
   uint32_t RevertThreshold = 64;
 };
 

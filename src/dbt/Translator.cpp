@@ -75,14 +75,50 @@ CondLowering lowerCond(guest::Cond C) {
   return {HostOp::Cmpeq, true};
 }
 
-/// Emit `Dst = Dst <op> Imm` choosing the literal form when possible.
-void emitAluImm(HostAssembler &Asm, HostOp Op, uint8_t Dst, int32_t Imm) {
+/// Host ALU opcode for a guest reg-reg / reg-imm ALU op (the fusable
+/// slot sets of dbt/FusionRules.h).
+HostOp aluOp(guest::Opcode Op) {
+  switch (Op) {
+  case guest::Opcode::Add:
+  case guest::Opcode::AddI:
+    return HostOp::Addl;
+  case guest::Opcode::Sub:
+  case guest::Opcode::SubI:
+    return HostOp::Subl;
+  case guest::Opcode::And:
+  case guest::Opcode::AndI:
+    return HostOp::And;
+  case guest::Opcode::Or:
+  case guest::Opcode::OrI:
+    return HostOp::Bis;
+  case guest::Opcode::Xor:
+  case guest::Opcode::XorI:
+    return HostOp::Xor;
+  case guest::Opcode::Mul:
+  case guest::Opcode::MulI:
+    return HostOp::Mull;
+  default:
+    assert(false && "not a simple ALU op");
+    return HostOp::Addl;
+  }
+}
+
+/// Emit `Dst = Src <op> Imm` choosing the literal form when possible.
+void emitAluImm(HostAssembler &Asm, HostOp Op, uint8_t Src, int32_t Imm,
+                uint8_t Dst) {
   if (Imm >= 0 && Imm <= 255) {
-    Asm.opl(Op, Dst, static_cast<uint8_t>(Imm), Dst);
+    Asm.opl(Op, Src, static_cast<uint8_t>(Imm), Dst);
     return;
   }
   Asm.materialize32(RegScratch1, static_cast<uint32_t>(Imm));
-  Asm.op(Op, Dst, RegScratch1, Dst);
+  Asm.op(Op, Src, RegScratch1, Dst);
+}
+
+/// Host register holding the data operand of guest memory op \p I.
+uint8_t dataReg(const guest::GuestInst &I) {
+  return I.Op == guest::Opcode::Ldq || I.Op == guest::Opcode::Stq
+             ? hostQ(I.Reg1)
+             : hostGpr(I.Reg1);
 }
 
 /// Largest displacement the translator leaves on a memory operand so
@@ -118,6 +154,34 @@ AddrOperand computeAddress(HostAssembler &Asm, const guest::GuestInst &I) {
     Disp = 0;
   }
   return {Base, Disp};
+}
+
+/// The multi-version alignment check (paper Fig. 8, left) on the
+/// address \p A of a \p Size-byte access: branches to the returned
+/// label when the access is misaligned.  When the displacement is a
+/// multiple of the access size it cannot change alignment, so the check
+/// tests the base register directly (the paper's "and Raddr, #3, Rtemp"
+/// form).
+HostAssembler::Label emitAlignmentCheck(HostAssembler &Asm, AddrOperand A,
+                                        unsigned Size) {
+  uint8_t CheckReg = A.Base;
+  if (A.Disp % static_cast<int32_t>(Size) != 0) {
+    Asm.lda(RegMvT0, A.Disp, A.Base);
+    CheckReg = RegMvT0;
+  }
+  Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1), RegMvT1);
+  HostAssembler::Label Misaligned = Asm.newLabel();
+  Asm.bne(RegMvT1, Misaligned);
+  return Misaligned;
+}
+
+/// Direct exit to \p TargetPc: materialize it and leave through a
+/// chainable Srv Exit.
+void emitDirectExit(HostAssembler &Asm, CachedTranslation &Out,
+                    uint32_t TargetPc) {
+  Asm.materialize32(RegExitPc, TargetPc);
+  uint32_t W = Asm.srv(SrvFunc::Exit);
+  Out.Exits.push_back({W, TargetPc, /*Direct=*/1});
 }
 
 /// How multi-version plans are rendered in the range being emitted:
@@ -203,28 +267,61 @@ struct BodyEmitter {
 
   /// Direct exit to \p TargetPc.  In trace mode an on-trace target
   /// falls through and an off-trace target branches to its side exit;
-  /// otherwise the exit (materialize + Srv) is emitted inline.
+  /// otherwise the exit is emitted inline.
   void emitExit(uint32_t TargetPc) {
-    if (Continues) {
-      if (TargetPc != NextPc)
-        Asm.br(side(TargetPc));
-      return;
+    if (!Continues)
+      emitDirectExit(Asm, Out, TargetPc);
+    else if (TargetPc != NextPc)
+      Asm.br(side(TargetPc));
+  }
+
+  /// The two-way exit of the guest Jcc \p J at \p JPc, deciding on host
+  /// register \p R: the guest branch is taken when R is nonzero if \p
+  /// TakenIfNonzero, else when R is zero.  In trace mode the on-trace
+  /// arm falls through to the next constituent and the off-trace arm
+  /// branches to a side exit; otherwise each arm exits inline.  Returns
+  /// the end of the branch core: the inline exits after it are
+  /// monitor-patched (chaining), so a fused site does not cover them.
+  uint32_t emitTwoWayExit(uint8_t R, bool TakenIfNonzero,
+                          const guest::GuestInst &J, uint32_t JPc) {
+    uint32_t TakenPc = J.branchTarget(JPc);
+    uint32_t FallPc = J.nextPc(JPc);
+    auto BranchIf = [&](bool Nonzero, HostAssembler::Label L) {
+      if (Nonzero)
+        Asm.bne(R, L);
+      else
+        Asm.beq(R, L);
+    };
+    if (!Continues) {
+      HostAssembler::Label Taken = Asm.newLabel();
+      BranchIf(TakenIfNonzero, Taken);
+      uint32_t CoreEnd = Asm.pos();
+      emitExit(FallPc);
+      Asm.bind(Taken);
+      emitExit(TakenPc);
+      return CoreEnd;
     }
-    Asm.materialize32(RegExitPc, TargetPc);
-    uint32_t W = Asm.srv(SrvFunc::Exit);
-    Out.Exits.push_back({W, TargetPc, /*Direct=*/1});
+    if (TakenPc == NextPc) {
+      BranchIf(!TakenIfNonzero, side(FallPc));
+    } else {
+      // When neither arm continues the trace (the walker should never
+      // build this), both arms become side exits, defensively.
+      BranchIf(TakenIfNonzero, side(TakenPc));
+      if (FallPc != NextPc)
+        Asm.br(side(FallPc));
+    }
+    return Asm.pos();
   }
 
   /// Indirect exit: RegExitPc already holds the target.  When IcWays is
-  /// nonzero, a disabled inline cache (see IcWayWords) is emitted ahead
-  /// of the fallback Srv Exit for the monitor to fill.
+  /// nonzero, disabled inline-cache ways (see IcWayWords) are emitted
+  /// ahead of the fallback Srv Exit for the monitor to fill.
   void emitIndirectExit() {
     CachedTranslation::RelIcSite Site;
     for (unsigned N = 0; N != IcWays; ++N) {
-      Site.WayBegins.push_back(Asm.emit(
-          brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1)));
-      for (uint32_t K = 1; K != IcWayWords; ++K)
-        Asm.op(HostOp::Bis, RegZero, RegZero, RegZero); // nop filler
+      Site.WayBegins.push_back(Asm.pos());
+      for (uint32_t K = 0; K != IcWayWords; ++K)
+        Asm.emitWord(Translator::icWayDisabledWord(K));
     }
     uint32_t W = Asm.srv(SrvFunc::Exit);
     Out.Exits.push_back({W, 0, /*Direct=*/0});
@@ -273,6 +370,34 @@ struct BodyEmitter {
     return P;
   }
 
+  /// Emit the single host memory op of the guest memory instruction at
+  /// \p Idx on operand (\p Base, \p Disp).  \p Guarded registers it as a
+  /// potential fault site (byte ops never trap); a store also records
+  /// its episode stop.
+  void emitPlainMem(size_t Idx, uint8_t Base, int32_t Disp, bool Guarded) {
+    const guest::GuestInst &I = Block.Insts[Idx];
+    uint32_t Pc = Block.InstPcs[Idx];
+    uint32_t W = Asm.mem(hostMemOp(I.Op), dataReg(I), Disp, Base);
+    if (Guarded && guest::accessSize(I.Op) >= 2)
+      Out.MemWordToGuestPc.push_back({W, Pc});
+    if (guest::isStore(I.Op))
+      recordStoreResume(W, I.nextPc(Pc));
+  }
+
+  /// Emit the inline MDA sequence of the guest memory instruction at
+  /// \p Idx on operand \p A.
+  void emitMdaSequence(size_t Idx, AddrOperand A) {
+    const guest::GuestInst &I = Block.Insts[Idx];
+    unsigned Size = guest::accessSize(I.Op);
+    if (!guest::isStore(I.Op)) {
+      emitMdaLoad(Asm, Size, dataReg(I), A.Base, A.Disp);
+      return;
+    }
+    uint32_t S = Asm.pos();
+    emitMdaStore(Asm, Size, dataReg(I), A.Base, A.Disp);
+    recordStoreResume(S, I.nextPc(Block.InstPcs[Idx]));
+  }
+
   /// Record one fused sequence whose core words are [Begin, End).  The
   /// word values themselves are the payload's, after label resolution.
   void recordFused(const FusionMatch &M, size_t Idx, uint32_t Begin,
@@ -282,93 +407,30 @@ struct BodyEmitter {
                               Block.InstPcs[Idx], M.SavedWords});
   }
 
-  /// Baseline lowering of the simple GPR ALU ops a fused window may
-  /// contain (the FusionRules slot sets; excludes the
-  /// RegScratch0-clobbering Sar/SarI, since a fused shared address
-  /// lives there).
+  /// Lowering of the simple GPR ALU ops, plain or inside a fused window
+  /// (the FusionRules slot sets; excludes the RegScratch0-clobbering
+  /// Sar/SarI, since a fused shared address lives there).
   void emitSimpleAlu(const guest::GuestInst &I) {
+    uint8_t R = hostGpr(I.Reg1);
     switch (I.Op) {
     case guest::Opcode::Add:
-      Asm.op(HostOp::Addl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Sub:
-      Asm.op(HostOp::Subl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::And:
-      Asm.op(HostOp::And, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Or:
-      Asm.op(HostOp::Bis, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Xor:
-      Asm.op(HostOp::Xor, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Mul:
-      Asm.op(HostOp::Mull, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
-    case guest::Opcode::AddI:
-      emitAluImm(Asm, HostOp::Addl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::SubI:
-      emitAluImm(Asm, HostOp::Subl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::AndI:
-      emitAluImm(Asm, HostOp::And, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::OrI:
-      emitAluImm(Asm, HostOp::Bis, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::XorI:
-      emitAluImm(Asm, HostOp::Xor, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::MulI:
-      emitAluImm(Asm, HostOp::Mull, hostGpr(I.Reg1), I.Imm);
+      Asm.op(aluOp(I.Op), R, hostGpr(I.Reg2), R);
       break;
     case guest::Opcode::ShlI:
-      Asm.opl(HostOp::Sll, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
-      Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
+      Asm.opl(HostOp::Sll, R, static_cast<uint8_t>(I.Imm & 31), R);
+      Asm.op(HostOp::Zextl, RegZero, R, R);
       break;
     case guest::Opcode::ShrI:
-      Asm.opl(HostOp::Srl, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
+      Asm.opl(HostOp::Srl, R, static_cast<uint8_t>(I.Imm & 31), R);
       break;
     default:
-      assert(false && "op not in a fusable slot set");
+      emitAluImm(Asm, aluOp(I.Op), R, I.Imm, R);
       break;
-    }
-  }
-
-  /// Host ALU opcode for a fusable guest reg-reg / reg-imm op.
-  static HostOp fusedAluOp(guest::Opcode Op) {
-    switch (Op) {
-    case guest::Opcode::Add:
-    case guest::Opcode::AddI:
-      return HostOp::Addl;
-    case guest::Opcode::Sub:
-    case guest::Opcode::SubI:
-      return HostOp::Subl;
-    case guest::Opcode::And:
-    case guest::Opcode::AndI:
-      return HostOp::And;
-    case guest::Opcode::Or:
-    case guest::Opcode::OrI:
-      return HostOp::Bis;
-    case guest::Opcode::Xor:
-    case guest::Opcode::XorI:
-      return HostOp::Xor;
-    case guest::Opcode::Mul:
-    case guest::Opcode::MulI:
-      return HostOp::Mull;
-    default:
-      assert(false && "op not in a fusable slot set");
-      return HostOp::Addl;
     }
   }
 
@@ -382,114 +444,51 @@ struct BodyEmitter {
     switch (M.Rule) {
     case FusionRuleId::MovOp: {
       const guest::GuestInst &A = Block.Insts[Idx + 1];
-      Asm.op(fusedAluOp(A.Op), hostGpr(I0.Reg2), hostGpr(A.Reg2),
+      Asm.op(aluOp(A.Op), hostGpr(I0.Reg2), hostGpr(A.Reg2),
              hostGpr(A.Reg1));
-      recordFused(M, Idx, Begin, Asm.pos());
       break;
     }
     case FusionRuleId::MovOpI: {
       const guest::GuestInst &A = Block.Insts[Idx + 1];
-      Asm.opl(fusedAluOp(A.Op), hostGpr(I0.Reg2),
-              static_cast<uint8_t>(A.Imm), hostGpr(A.Reg1));
-      recordFused(M, Idx, Begin, Asm.pos());
+      Asm.opl(aluOp(A.Op), hostGpr(I0.Reg2), static_cast<uint8_t>(A.Imm),
+              hostGpr(A.Reg1));
       break;
     }
     case FusionRuleId::ImmNeg:
       Asm.opl(I0.Op == guest::Opcode::AddI ? HostOp::Subl : HostOp::Addl,
               hostGpr(I0.Reg1), static_cast<uint8_t>(-I0.Imm),
               hostGpr(I0.Reg1));
-      recordFused(M, Idx, Begin, Asm.pos());
       break;
     case FusionRuleId::CmpBr0: {
-      const guest::GuestInst &J = Block.Insts[Idx + 1];
-      uint32_t JPc = Block.InstPcs[Idx + 1];
-      uint8_t R = hostGpr(I0.Reg1);
       // Eq is taken when r == 0, Ne when r != 0; the constraint admits
       // only these (guest GPRs are zero-extended, never negative, so
       // orderings against 0 do not reduce to a register test).
-      bool TakenWhenZero = J.CC == guest::Cond::Eq;
-      if (Continues) {
-        uint32_t TakenPc = J.branchTarget(JPc);
-        uint32_t FallPc = J.nextPc(JPc);
-        if (TakenPc == NextPc) {
-          if (TakenWhenZero)
-            Asm.bne(R, side(FallPc));
-          else
-            Asm.beq(R, side(FallPc));
-        } else if (FallPc == NextPc) {
-          if (TakenWhenZero)
-            Asm.beq(R, side(TakenPc));
-          else
-            Asm.bne(R, side(TakenPc));
-        } else {
-          if (TakenWhenZero)
-            Asm.beq(R, side(TakenPc));
-          else
-            Asm.bne(R, side(TakenPc));
-          Asm.br(side(FallPc));
-        }
-        recordFused(M, Idx, Begin, Asm.pos());
-        break;
-      }
-      HostAssembler::Label Taken = Asm.newLabel();
-      if (TakenWhenZero)
-        Asm.beq(R, Taken);
-      else
-        Asm.bne(R, Taken);
-      // Core ends here: the exits below are monitor-patched (chaining).
-      recordFused(M, Idx, Begin, Asm.pos());
-      emitExit(J.nextPc(JPc));
-      Asm.bind(Taken);
-      emitExit(J.branchTarget(JPc));
-      break;
+      const guest::GuestInst &J = Block.Insts[Idx + 1];
+      recordFused(M, Idx, Begin,
+                  emitTwoWayExit(hostGpr(I0.Reg1), J.CC == guest::Cond::Ne,
+                                 J, Block.InstPcs[Idx + 1]));
+      return;
     }
     case FusionRuleId::LdOpSt: {
-      const guest::GuestInst &St = Block.Insts[Idx + 2];
-      uint32_t StPc = Block.InstPcs[Idx + 2];
       AddrOperand A = computeAddress(Asm, I0);
-      unsigned Size = guest::accessSize(I0.Op);
-      uint8_t Data = hostGpr(I0.Reg1);
-      MemPlan PL = planFor(Idx, Mode);
-      uint32_t WL = Asm.mem(hostMemOp(I0.Op), Data, A.Disp, A.Base);
-      if (Size >= 2 && PL != MemPlan::Elide)
-        Out.MemWordToGuestPc.push_back({WL, Block.InstPcs[Idx]});
+      emitPlainMem(Idx, A.Base, A.Disp,
+                   planFor(Idx, Mode) != MemPlan::Elide);
       emitSimpleAlu(Block.Insts[Idx + 1]);
-      MemPlan PS = planFor(Idx + 2, Mode);
-      uint32_t WS = Asm.mem(hostMemOp(St.Op), Data, A.Disp, A.Base);
-      if (Size >= 2 && PS != MemPlan::Elide)
-        Out.MemWordToGuestPc.push_back({WS, StPc});
-      recordStoreResume(WS, St.nextPc(StPc));
-      recordFused(M, Idx, Begin, Asm.pos());
+      emitPlainMem(Idx + 2, A.Base, A.Disp,
+                   planFor(Idx + 2, Mode) != MemPlan::Elide);
       break;
     }
-    case FusionRuleId::SharedAddr: {
-      // One base + index*scale computation shared by the whole run;
-      // per-member displacements ride on the memory operands.
-      if (I0.Scale != 0) {
-        Asm.opl(HostOp::Sll, hostGpr(I0.IndexReg), I0.Scale, RegScratch0);
-        Asm.op(HostOp::Addl, hostGpr(I0.Reg2), RegScratch0, RegScratch0);
-      } else {
-        Asm.op(HostOp::Addl, hostGpr(I0.Reg2), hostGpr(I0.IndexReg),
-               RegScratch0);
-      }
-      for (size_t K = 0; K != M.Length; ++K) {
-        const guest::GuestInst &I = Block.Insts[Idx + K];
-        uint32_t Pc = Block.InstPcs[Idx + K];
-        MemPlan P = planFor(Idx + K, Mode);
-        uint8_t Data = (I.Op == guest::Opcode::Ldq ||
-                        I.Op == guest::Opcode::Stq)
-                           ? hostQ(I.Reg1)
-                           : hostGpr(I.Reg1);
-        uint32_t W = Asm.mem(hostMemOp(I.Op), Data, I.Disp, RegScratch0);
-        if (guest::accessSize(I.Op) >= 2 && P != MemPlan::Elide)
-          Out.MemWordToGuestPc.push_back({W, Pc});
-        if (guest::isStore(I.Op))
-          recordStoreResume(W, I.nextPc(Pc));
-      }
-      recordFused(M, Idx, Begin, Asm.pos());
+    case FusionRuleId::SharedAddr:
+      // One base + index*scale computation shared by the whole run
+      // (every member's displacement fits its memory operand, so none
+      // is folded in); per-member displacements ride on the operands.
+      computeAddress(Asm, I0);
+      for (size_t K = 0; K != M.Length; ++K)
+        emitPlainMem(Idx + K, RegScratch0, Block.Insts[Idx + K].Disp,
+                     planFor(Idx + K, Mode) != MemPlan::Elide);
       break;
     }
-    }
+    recordFused(M, Idx, Begin, Asm.pos());
   }
 
   void emitRange(size_t From, size_t To, MvMode Mode) {
@@ -516,12 +515,11 @@ struct BodyEmitter {
       break;
 
     case guest::Opcode::Chk:
-      Asm.opl(HostOp::Mulq, RegChecksum, 31, RegChecksum);
-      Asm.op(HostOp::Addq, RegChecksum, hostGpr(I.Reg1), RegChecksum);
-      break;
     case guest::Opcode::QChk:
       Asm.opl(HostOp::Mulq, RegChecksum, 31, RegChecksum);
-      Asm.op(HostOp::Addq, RegChecksum, hostQ(I.Reg1), RegChecksum);
+      Asm.op(HostOp::Addq, RegChecksum,
+             I.Op == guest::Opcode::Chk ? hostGpr(I.Reg1) : hostQ(I.Reg1),
+             RegChecksum);
       break;
 
     case guest::Opcode::Ldb:
@@ -533,59 +531,26 @@ struct BodyEmitter {
     case guest::Opcode::Stl:
     case guest::Opcode::Stq: {
       AddrOperand A = computeAddress(Asm, I);
-      unsigned Size = guest::accessSize(I.Op);
-      bool IsStore = guest::isStore(I.Op);
-      uint8_t Data = (I.Op == guest::Opcode::Ldq ||
-                      I.Op == guest::Opcode::Stq)
-                         ? hostQ(I.Reg1)
-                         : hostGpr(I.Reg1);
       MemPlan P = planFor(Idx, Mode);
       if (P == MemPlan::Normal || P == MemPlan::Elide) {
-        uint32_t W = Asm.mem(hostMemOp(I.Op), Data, A.Disp, A.Base);
         // An elided (provably-aligned) op is not registered as a fault
         // site: it can never trap, so the fault path must never be able
         // to resolve it.
-        if (Size >= 2 && P != MemPlan::Elide)
-          Out.MemWordToGuestPc.push_back({W, Pc});
-        if (IsStore)
-          recordStoreResume(W, I.nextPc(Pc));
+        emitPlainMem(Idx, A.Base, A.Disp, P != MemPlan::Elide);
       } else if (P == MemPlan::Inline) {
-        if (IsStore) {
-          uint32_t S = Asm.pos();
-          emitMdaStore(Asm, Size, Data, A.Base, A.Disp);
-          recordStoreResume(S, I.nextPc(Pc));
-        } else {
-          emitMdaLoad(Asm, Size, Data, A.Base, A.Disp);
-        }
+        emitMdaSequence(Idx, A);
       } else {
         // Multi-version code (paper Fig. 8, left): an alignment check
-        // selecting between the plain op and the MDA sequence.  When the
-        // displacement is a multiple of the access size it cannot change
-        // alignment, so the check tests the base register directly (the
-        // paper's "and Raddr, #3, Rtemp" form).
-        uint8_t CheckReg = A.Base;
-        if (A.Disp % static_cast<int32_t>(Size) != 0) {
-          Asm.lda(RegMvT0, A.Disp, A.Base);
-          CheckReg = RegMvT0;
-        }
-        Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1),
-                RegMvT1);
-        HostAssembler::Label Mda = Asm.newLabel();
+        // selecting between the plain op and the MDA sequence.
+        HostAssembler::Label Mda =
+            emitAlignmentCheck(Asm, A, guest::accessSize(I.Op));
         HostAssembler::Label End = Asm.newLabel();
-        Asm.bne(RegMvT1, Mda);
-        uint32_t PW = Asm.mem(hostMemOp(I.Op), Data, A.Disp, A.Base);
-        // (provably aligned: the check above routed misalignment away)
-        if (IsStore)
-          recordStoreResume(PW, I.nextPc(Pc)); // stop at the br below
+        // Provably aligned (the check routed misalignment away), so not
+        // a fault site; a store's episode stops at the br below.
+        emitPlainMem(Idx, A.Base, A.Disp, /*Guarded=*/false);
         Asm.br(End);
         Asm.bind(Mda);
-        if (IsStore) {
-          uint32_t S = Asm.pos();
-          emitMdaStore(Asm, Size, Data, A.Base, A.Disp);
-          recordStoreResume(S, I.nextPc(Pc));
-        } else {
-          emitMdaLoad(Asm, Size, Data, A.Base, A.Disp);
-        }
+        emitMdaSequence(Idx, A);
         Asm.bind(End);
       }
       break;
@@ -602,24 +567,20 @@ struct BodyEmitter {
       Asm.mov(hostGpr(I.Reg2), hostGpr(I.Reg1));
       break;
     case guest::Opcode::Add:
-      Asm.op(HostOp::Addl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Sub:
-      Asm.op(HostOp::Subl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::And:
-      Asm.op(HostOp::And, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Or:
-      Asm.op(HostOp::Bis, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Xor:
-      Asm.op(HostOp::Xor, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
+    case guest::Opcode::Mul:
+    case guest::Opcode::AddI:
+    case guest::Opcode::SubI:
+    case guest::Opcode::AndI:
+    case guest::Opcode::OrI:
+    case guest::Opcode::XorI:
+    case guest::Opcode::MulI:
+    case guest::Opcode::ShlI:
+    case guest::Opcode::ShrI:
+      emitSimpleAlu(I);
       break;
     case guest::Opcode::Shl:
       Asm.opl(HostOp::And, hostGpr(I.Reg2), 31, RegScratch1);
@@ -636,46 +597,15 @@ struct BodyEmitter {
       Asm.op(HostOp::Sra, RegScratch0, RegScratch1, hostGpr(I.Reg1));
       Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
       break;
-    case guest::Opcode::Mul:
-      Asm.op(HostOp::Mull, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
 
     case guest::Opcode::MovRI:
       Asm.materialize32(hostGpr(I.Reg1), static_cast<uint32_t>(I.Imm));
-      break;
-    case guest::Opcode::AddI:
-      emitAluImm(Asm, HostOp::Addl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::SubI:
-      emitAluImm(Asm, HostOp::Subl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::AndI:
-      emitAluImm(Asm, HostOp::And, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::OrI:
-      emitAluImm(Asm, HostOp::Bis, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::XorI:
-      emitAluImm(Asm, HostOp::Xor, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::ShlI:
-      Asm.opl(HostOp::Sll, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
-      Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
-      break;
-    case guest::Opcode::ShrI:
-      Asm.opl(HostOp::Srl, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
       break;
     case guest::Opcode::SarI:
       Asm.op(HostOp::Sextl, RegZero, hostGpr(I.Reg1), RegScratch0);
       Asm.opl(HostOp::Sra, RegScratch0, static_cast<uint8_t>(I.Imm & 31),
               hostGpr(I.Reg1));
       Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
-      break;
-    case guest::Opcode::MulI:
-      emitAluImm(Asm, HostOp::Mull, hostGpr(I.Reg1), I.Imm);
       break;
 
     case guest::Opcode::Cmp:
@@ -686,52 +616,12 @@ struct BodyEmitter {
           Block.Insts[Idx + 1].Op != guest::Opcode::Jcc)
         break;
       const guest::GuestInst &J = Block.Insts[Idx + 1];
-      uint32_t JPc = Block.InstPcs[Idx + 1];
       CondLowering L = lowerCond(J.CC);
-      if (I.Op == guest::Opcode::Cmp) {
+      if (I.Op == guest::Opcode::Cmp)
         Asm.op(L.CmpOp, hostGpr(I.Reg1), hostGpr(I.Reg2), RegScratch2);
-      } else if (I.Imm >= 0 && I.Imm <= 255) {
-        Asm.opl(L.CmpOp, hostGpr(I.Reg1), static_cast<uint8_t>(I.Imm),
-                RegScratch2);
-      } else {
-        Asm.materialize32(RegScratch1, static_cast<uint32_t>(I.Imm));
-        Asm.op(L.CmpOp, hostGpr(I.Reg1), RegScratch1, RegScratch2);
-      }
-      if (Continues) {
-        // Trace-aware lowering: the on-trace arm falls through to the
-        // next constituent, the off-trace arm branches to a side exit.
-        uint32_t TakenPc = J.branchTarget(JPc);
-        uint32_t FallPc = J.nextPc(JPc);
-        if (TakenPc == NextPc) {
-          if (L.BranchIfTrue)
-            Asm.beq(RegScratch2, side(FallPc));
-          else
-            Asm.bne(RegScratch2, side(FallPc));
-        } else if (FallPc == NextPc) {
-          if (L.BranchIfTrue)
-            Asm.bne(RegScratch2, side(TakenPc));
-          else
-            Asm.beq(RegScratch2, side(TakenPc));
-        } else {
-          // Neither arm continues the trace (the walker should never
-          // build this); both arms become side exits, defensively.
-          if (L.BranchIfTrue)
-            Asm.bne(RegScratch2, side(TakenPc));
-          else
-            Asm.beq(RegScratch2, side(TakenPc));
-          Asm.br(side(FallPc));
-        }
-        ++Idx; // consume the Jcc
-        break;
-      }
-      HostAssembler::Label Taken = Asm.newLabel();
-      if (L.BranchIfTrue)
-        Asm.bne(RegScratch2, Taken);
       else
-        Asm.beq(RegScratch2, Taken);
-      emitExit(J.nextPc(JPc));
-      Asm.bind(Taken);
-      emitExit(J.branchTarget(JPc));
+        emitAluImm(Asm, L.CmpOp, hostGpr(I.Reg1), I.Imm, RegScratch2);
+      emitTwoWayExit(RegScratch2, L.BranchIfTrue, J, Block.InstPcs[Idx + 1]);
       ++Idx; // consume the Jcc
       break;
     }
@@ -835,26 +725,15 @@ CachedTranslation Translator::translate(const GuestBlock &Block,
     }
   }
 
+  E.emitRange(0, Split, MvMode::PerInst);
   if (Split != Block.size()) {
-    E.emitRange(0, Split, MvMode::PerInst);
     // The version check on the split site's address.
     const guest::GuestInst &I = Block.Insts[Split];
-    AddrOperand A = computeAddress(Asm, I);
-    unsigned Size = guest::accessSize(I.Op);
-    uint8_t CheckReg = A.Base;
-    if (A.Disp % static_cast<int32_t>(Size) != 0) {
-      Asm.lda(RegMvT0, A.Disp, A.Base);
-      CheckReg = RegMvT0;
-    }
-    Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1),
-            RegMvT1);
-    HostAssembler::Label MisCopy = Asm.newLabel();
-    Asm.bne(RegMvT1, MisCopy);
+    HostAssembler::Label MisCopy = emitAlignmentCheck(
+        Asm, computeAddress(Asm, I), guest::accessSize(I.Op));
     E.emitRange(Split, Block.size(), MvMode::Plain);
     Asm.bind(MisCopy);
     E.emitRange(Split, Block.size(), MvMode::Sequences);
-  } else {
-    E.emitRange(0, Block.size(), MvMode::PerInst);
   }
   return B.finish();
 }
@@ -897,21 +776,17 @@ Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
 
   for (auto &KV : SideLabels) {
     Asm.bind(KV.second);
-    Asm.materialize32(RegExitPc, KV.first);
-    uint32_t W = Asm.srv(SrvFunc::Exit);
-    P.Exits.push_back({W, KV.first, /*Direct=*/1});
+    emitDirectExit(Asm, P, KV.first);
   }
   return B.finish();
 }
 
-Translator::StubInfo Translator::emitStub(const HostInst &Faulting,
-                                          uint32_t FaultWord) {
-  return emitAdaptiveStub(Faulting, FaultWord, 0, 0, /*Threshold=*/0);
-}
-
-Translator::StubInfo Translator::emitAdaptiveStub(
-    const HostInst &Faulting, uint32_t FaultWord, uint32_t CounterAddr,
-    uint32_t MailboxAddr, uint32_t Threshold) {
+Translator::StubInfo Translator::emitStub(CodeSpace &Code,
+                                          const HostInst &Faulting,
+                                          uint32_t FaultWord,
+                                          uint32_t CounterAddr,
+                                          uint32_t MailboxAddr,
+                                          uint32_t Threshold) {
   assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
          "stub requested for a non-trapping instruction");
   assert(Threshold <= 255 && "threshold must fit an operate literal");
@@ -960,6 +835,23 @@ uint32_t Translator::stubBranchWord(uint32_t FaultWord,
       brInst(HostOp::Br, RegZero, static_cast<int32_t>(Disp)));
 }
 
-void Translator::patchToStub(uint32_t FaultWord, uint32_t StubEntry) {
-  Code.patch(FaultWord, stubBranchWord(FaultWord, StubEntry));
+uint32_t Translator::icWayDisabledWord(uint32_t K) {
+  assert(K < IcWayWords && "word outside an inline-cache way");
+  if (K == 0)
+    return encodeHost(
+        brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
+  return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
+}
+
+std::array<uint32_t, IcWayWords>
+Translator::icWayFilledWords(uint32_t Tag, uint32_t FinalBranch) {
+  int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
+  int32_t Hi = static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
+  return {encodeHost(memInst(HostOp::Ldah, RegScratch1, Hi, RegZero)),
+          encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1)),
+          encodeHost(opInst(HostOp::Zextl, RegZero, RegScratch1,
+                            RegScratch1)),
+          encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
+                            RegScratch2)),
+          encodeHost(brInst(HostOp::Beq, RegScratch2, 1)), FinalBranch};
 }

@@ -14,11 +14,20 @@
 /// unit — reaches an arena through the one install step, installPayload
 /// (dbt/TranslationCapture.h).
 ///
+/// Each guest operation has exactly one emitter: plain and fused ALU
+/// ops share one lowering, a compare-and-branch and the fused
+/// compare-with-zero branch share one two-way exit (block and trace
+/// mode), and per-instruction and block-granularity multi-version code
+/// share one alignment check.
+///
 /// Also emits the out-of-line MDA stubs the misalignment exception
 /// handler patches in (paper Fig. 5): the stub re-performs the faulting
 /// access with the unaligned-access toolkit and branches back to the
-/// instruction after the patch site.  Stubs are appended to, and
-/// patched into, the live arena the Translator was built over.
+/// instruction after the patch site.  The Translator holds no state:
+/// stub emission takes the live arena to append to, as translation
+/// returns its payload, and the engine patches the fault site.  The
+/// inline-cache way words the translator emits disabled and the monitor
+/// later fills or retires come from one encoder here too.
 ///
 /// Register conventions are documented in host/HostISA.h.  Guest state
 /// lives in host registers across blocks; compare-and-branch pairs are
@@ -34,6 +43,7 @@
 #include "host/CodeSpace.h"
 #include "host/HostEncoding.h"
 
+#include <array>
 #include <functional>
 
 namespace mdabt {
@@ -49,15 +59,14 @@ inline uint8_t hostQ(unsigned Reg) {
   return static_cast<uint8_t>(host::RegQBase + Reg);
 }
 
-/// The block translator and the exception handler's stub emitter.
+/// The block translator, the exception handler's stub emitter and the
+/// inline-cache way encoder.  Stateless: every entry point takes what it
+/// writes.
 class Translator {
 public:
   /// Chooses the plan for the memory instruction at a guest PC.
   using PlanFn =
       std::function<MemPlan(uint32_t InstPc, const guest::GuestInst &)>;
-
-  /// \p Code is the live arena stubs are emitted into and patched.
-  explicit Translator(host::CodeSpace &Code) : Code(Code) {}
 
   /// Translate \p Block into a relocatable payload.
   static CachedTranslation
@@ -81,33 +90,41 @@ public:
     uint32_t End = 0;
   };
 
-  /// Emit the MDA stub for the faulting memory instruction \p Faulting
-  /// located at \p FaultWord, ending with a branch back to
-  /// FaultWord + 1.  Does not patch the fault site itself.
-  StubInfo emitStub(const host::HostInst &Faulting, uint32_t FaultWord);
-
-  /// Emit the *adaptive* MDA stub of paper Fig. 8 (right side): before
-  /// the MDA sequence, instructions count consecutive executions at an
-  /// aligned address (in the runtime cell \p CounterAddr); once the
-  /// count reaches \p Threshold the stub posts FaultWord + 1 into the
-  /// runtime mailbox at \p MailboxAddr, asking the monitor to patch the
-  /// original memory instruction back in.  This is the "truly adaptive"
-  /// method the paper analyzes (and concludes is rarely worth its ~10
+  /// Append to the live arena \p Code the MDA stub for the faulting
+  /// memory instruction \p Faulting located at \p FaultWord, ending with
+  /// a branch back to FaultWord + 1.  Does not patch the fault site
+  /// itself (the engine writes stubBranchWord there).
+  ///
+  /// A nonzero \p Threshold (at most 255, an operate literal) emits the
+  /// *adaptive* stub of paper Fig. 8 (right side): before the MDA
+  /// sequence, instructions count consecutive executions at an aligned
+  /// address (in the runtime cell \p CounterAddr); once the count
+  /// reaches \p Threshold the stub posts FaultWord + 1 into the runtime
+  /// mailbox at \p MailboxAddr, asking the monitor to patch the original
+  /// memory instruction back in.  This is the "truly adaptive" method
+  /// the paper analyzes (and concludes is rarely worth its ~10
   /// instructions of bookkeeping — reproduced by the ablation bench).
-  /// \p Threshold 0 emits the plain stub of emitStub.
-  StubInfo emitAdaptiveStub(const host::HostInst &Faulting,
-                            uint32_t FaultWord, uint32_t CounterAddr,
-                            uint32_t MailboxAddr, uint32_t Threshold);
+  static StubInfo emitStub(host::CodeSpace &Code,
+                           const host::HostInst &Faulting,
+                           uint32_t FaultWord, uint32_t CounterAddr = 0,
+                           uint32_t MailboxAddr = 0, uint32_t Threshold = 0);
 
-  /// The branch word patchToStub writes (exposed so the engine can
-  /// verify the patch actually landed before resuming execution).
+  /// The branch word that redirects the fault site \p FaultWord to the
+  /// stub at \p StubEntry.
   static uint32_t stubBranchWord(uint32_t FaultWord, uint32_t StubEntry);
 
-  /// Patch the faulting word into a branch to \p StubEntry.
-  void patchToStub(uint32_t FaultWord, uint32_t StubEntry);
+  /// Word \p K of a disabled inline-cache way (layout at IcWayWords in
+  /// dbt/Translation.h): the guard (K = 0) skips the way, every other
+  /// word is a nop.  The translator emits ways this way; the monitor
+  /// retires one by rewriting the guard and scrubbing the final branch
+  /// back to these words.
+  static uint32_t icWayDisabledWord(uint32_t K);
 
-private:
-  host::CodeSpace &Code;
+  /// The words of an inline-cache way filled with tag \p Tag (the target
+  /// block's guest PC) whose final word is the branch \p FinalBranch to
+  /// the target's entry.
+  static std::array<uint32_t, IcWayWords>
+  icWayFilledWords(uint32_t Tag, uint32_t FinalBranch);
 };
 
 } // namespace dbt

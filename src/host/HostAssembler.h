@@ -39,7 +39,9 @@ public:
   void bind(Label L);
 
   /// Emit a raw instruction; returns its word index.
-  uint32_t emit(const HostInst &Inst) { return Code.append(encodeHost(Inst)); }
+  uint32_t emit(const HostInst &Inst) { return emitWord(encodeHost(Inst)); }
+  /// Emit an already-encoded instruction word.
+  uint32_t emitWord(uint32_t Word) { return Code.append(Word); }
 
   // Memory format.
   uint32_t lda(uint8_t Ra, int32_t Disp, uint8_t Rb) {

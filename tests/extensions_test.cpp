@@ -268,3 +268,25 @@ TEST(ExtensionsFuzzTest, AdaptiveAndBlockMvMatchOracle) {
                         ("block-mv seed " + std::to_string(Seed)).c_str());
   }
 }
+
+TEST(AdaptiveRevertTest, OutOfRangeThresholdDowngradesToPlainStub) {
+  // The adaptive stub compares its counter against an 8-bit operate
+  // literal, so only thresholds 1..255 are expressible.  Any other value
+  // must degrade to a plain (never-reverting) stub, counted like
+  // exhausted counter cells, instead of aborting or half-arming.
+  guest::GuestImage Image = alignmentWindowProgram(3000, 300, 600);
+  Oracle O = interpretOracle(Image);
+  for (uint32_t Threshold : {0u, 256u}) {
+    mda::DpehOptions Opts;
+    Opts.AdaptiveRevert = true;
+    Opts.RevertThreshold = Threshold;
+    dbt::RunResult R = runDpeh(Image, Opts);
+    std::string What = "threshold " + std::to_string(Threshold);
+    expectMatchesOracle(R, O, What.c_str());
+    EXPECT_EQ(R.Counters.get("dbt.reverts"), 0u) << What;
+    EXPECT_GE(R.Counters.get("dbt.patches"), 1u) << What;
+    EXPECT_EQ(R.Counters.get("harden.stub_downgrades"),
+              R.Counters.get("dbt.patches"))
+        << What;
+  }
+}

@@ -357,7 +357,6 @@ TEST(TranslatorTest, StubEmissionAndPatching) {
   // Manually exercise the exception handler's code path: emit a stub for
   // a faulting ldl and patch the site.
   host::CodeSpace Code;
-  Translator Trans(Code);
   host::HostAssembler Asm(Code);
   uint32_t FaultW = Asm.mem(host::HostOp::Ldl, 3, 1, 2);
   Asm.srv(host::SrvFunc::Halt);
@@ -365,8 +364,8 @@ TEST(TranslatorTest, StubEmissionAndPatching) {
 
   host::HostInst Faulting;
   ASSERT_TRUE(host::decodeHost(Code.word(FaultW), Faulting));
-  Translator::StubInfo S = Trans.emitStub(Faulting, FaultW);
-  Trans.patchToStub(FaultW, S.Entry);
+  Translator::StubInfo S = Translator::emitStub(Code, Faulting, FaultW);
+  Code.patch(FaultW, Translator::stubBranchWord(FaultW, S.Entry));
 
   guest::GuestMemory Mem;
   Mem.store(0x1001, 4, 0xfeedf00d);
@@ -506,4 +505,269 @@ TEST(TranslatorTest, PayloadInstallsIdenticallyAtAnyArenaBase) {
     EXPECT_EQ(TA.FusedSites[I].Words, Slice);
     EXPECT_EQ(TB.FusedSites[I].Words, Slice);
   }
+}
+
+namespace {
+
+/// FNV-1a over a stream of 32-bit values (the pinned-lowering digest).
+struct LoweringDigest {
+  uint64_t H = 1469598103934665603ull;
+  void add(uint32_t V) {
+    for (unsigned K = 0; K != 4; ++K) {
+      H ^= (V >> (8 * K)) & 0xff;
+      H *= 1099511628211ull;
+    }
+  }
+  /// Every word and every piece of install metadata of \p P.
+  void add(const CachedTranslation &P) {
+    add(P.GuestPc);
+    add(P.GuestInsts);
+    add(P.IsTrace);
+    add(static_cast<uint32_t>(P.Words.size()));
+    for (uint32_t W : P.Words)
+      add(W);
+    add(static_cast<uint32_t>(P.Exits.size()));
+    for (const CachedTranslation::RelExit &X : P.Exits) {
+      add(X.Word);
+      add(X.TargetGuestPc);
+      add(X.Direct);
+    }
+    add(static_cast<uint32_t>(P.MemWordToGuestPc.size()));
+    for (const auto &KV : P.MemWordToGuestPc) {
+      add(KV.first);
+      add(KV.second);
+    }
+    add(static_cast<uint32_t>(P.StoreResume.size()));
+    for (const CachedTranslation::RelResume &R : P.StoreResume) {
+      add(R.Word);
+      add(R.EndWord);
+      add(R.ResumePc);
+    }
+    add(static_cast<uint32_t>(P.PlanByPc.size()));
+    for (const auto &KV : P.PlanByPc) {
+      add(KV.first);
+      add(KV.second);
+    }
+    add(static_cast<uint32_t>(P.IcSites.size()));
+    for (const CachedTranslation::RelIcSite &S : P.IcSites) {
+      add(S.SrvWord);
+      add(static_cast<uint32_t>(S.WayBegins.size()));
+      for (uint32_t B : S.WayBegins)
+        add(B);
+    }
+    add(static_cast<uint32_t>(P.Constituents.size()));
+    for (uint32_t C : P.Constituents)
+      add(C);
+    add(static_cast<uint32_t>(P.GuestRanges.size()));
+    for (const auto &R : P.GuestRanges) {
+      add(R.first);
+      add(R.second);
+    }
+    add(static_cast<uint32_t>(P.FusedSites.size()));
+    for (const CachedTranslation::RelFusedSite &F : P.FusedSites) {
+      add(F.Rule);
+      add(F.GuestLen);
+      add(F.Begin);
+      add(F.End);
+      add(F.GuestPc);
+      add(F.SavedWords);
+    }
+  }
+};
+
+/// A program whose straight-line blocks together use every guest opcode,
+/// every addressing shape the translator distinguishes, every fusion
+/// rule's idiom and every block terminator.
+guest::GuestImage loweringCorpus() {
+  using namespace guest;
+  ProgramBuilder B("lowering-corpus");
+  uint32_t Buf = B.dataReserve(1024, 8);
+  ProgramBuilder::Label Tail = B.newLabel();
+  ProgramBuilder::Label Fn = B.newLabel();
+  B.movri(0, static_cast<int32_t>(Buf));
+  B.movri(1, 3);
+  B.movri(2, 0x12345678);
+  B.movri(7, -1);
+  B.nop();
+  B.chk(1);
+  B.qchk(2);
+  B.ldb(2, mem(0, 1));
+  B.ldw(2, mem(0, 2));
+  B.ldl(2, mem(0, 6)); // displacement not a multiple of the size
+  B.ldq(1, mem(0, 8));
+  B.stb(mem(0, 3), 2);
+  B.stw(mem(0, 10), 2);
+  B.stl(mem(0, 12), 2);
+  B.stq(mem(0, 16), 1);
+  B.ldl(4, memIdx(0, 1, 2, 4));
+  B.ldl(4, memIdx(0, 1, 0, -8));
+  B.stl(memIdx(0, 1, 3, 40000), 4); // displacement past disp16
+  B.ldl(4, mem(0, -100000));
+  B.ldq(3, memIdx(0, 1, 3, 24));
+  B.lea(5, memIdx(0, 1, 2, 12));
+  B.lea(5, mem(0, 70000));
+  B.movrr(6, 5);
+  B.add(6, 1); // MovOp
+  B.sub(6, 1);
+  B.and_(6, 2);
+  B.or_(6, 1);
+  B.xor_(6, 2);
+  B.shl(6, 1);
+  B.shr(6, 1);
+  B.sar(6, 1);
+  B.mul(6, 2);
+  B.addi(6, 7);
+  B.addi(6, 100000);
+  B.addi(4, -5); // ImmNeg
+  B.subi(4, -7); // ImmNeg
+  B.subi(6, 300);
+  B.andi(6, 0xff0);
+  B.ori(6, 12);
+  B.xori(6, -2);
+  B.shli(6, 3);
+  B.shri(6, 2);
+  B.sari(6, 1);
+  B.muli(6, 3);
+  B.muli(6, 70000);
+  B.movrr(3, 5);
+  B.addi(3, 9); // MovOpI
+  B.ldl(2, memIdx(0, 1, 2, 64)); // LdOpSt
+  B.addi(2, 1);
+  B.stl(memIdx(0, 1, 2, 64), 2);
+  B.ldw(2, memIdx(0, 1, 1, 128)); // SharedAddr
+  B.ldl(6, memIdx(0, 1, 1, 132));
+  B.stq(memIdx(0, 1, 1, 136), 2);
+  B.qmov(3, 1);
+  B.qmovi(2, -5);
+  B.qadd(2, 3);
+  B.qaddi(2, 7);
+  B.qaddi(2, 1000);
+  B.qaddi(2, -3);
+  B.qxor(2, 3);
+  B.gtoq(3, 4);
+  B.qtog(5, 3);
+  B.cmp(1, 2);
+  B.jcc(Cond::Lt, Tail);
+  B.cmpi(1, 0); // CmpBr0, Eq
+  B.jcc(Cond::Eq, Tail);
+  B.cmpi(1, 0); // CmpBr0, Ne
+  B.jcc(Cond::Ne, Tail);
+  B.cmpi(1, 0); // not CmpBr0: an ordering against 0
+  B.jcc(Cond::Ge, Tail);
+  B.cmpi(1, 200);
+  B.jcc(Cond::Le, Tail);
+  B.cmpi(1, 70000);
+  B.jcc(Cond::Gt, Tail);
+  B.cmpi(1, -4);
+  B.jcc(Cond::B, Tail);
+  B.cmp(1, 2);
+  B.jcc(Cond::Ae, Tail);
+  B.cmp(2, 1);
+  B.jcc(Cond::Eq, Tail);
+  B.cmp(2, 1);
+  B.jcc(Cond::Ne, Tail);
+  B.call(Fn);
+  B.jmp(Tail);
+  B.bind(Fn);
+  B.ldl(2, mem(0, 0));
+  B.ret();
+  B.bind(Tail);
+  B.jmpr(5);
+  B.halt();
+  return B.build();
+}
+
+} // namespace
+
+TEST(TranslatorTest, LoweringIsPinned) {
+  // Any change to an emitted host word or to install metadata changes
+  // this digest.  A refactor of the lowering must keep it; a deliberate
+  // lowering change updates the constant together with the modeled
+  // numbers it moves.
+  guest::GuestImage Image = loweringCorpus();
+  guest::GuestMemory Mem;
+  Mem.loadImage(Image);
+  std::vector<GuestBlock> Blocks;
+  for (uint32_t Pc = Image.Entry;;) {
+    Blocks.push_back(discoverBlock(Mem, Pc));
+    if (Blocks.back().Insts.back().Op == guest::Opcode::Halt)
+      break;
+    Pc = Blocks.back().endPc();
+  }
+  ASSERT_GE(Blocks.size(), 15u);
+
+  // Two-block traces: every block followed by its fall-through block,
+  // and every conditional block followed by its taken target.
+  std::vector<std::vector<GuestBlock>> Traces;
+  for (size_t I = 0; I + 1 != Blocks.size(); ++I) {
+    Traces.push_back({Blocks[I], Blocks[I + 1]});
+    const guest::GuestInst &Last = Blocks[I].Insts.back();
+    if (Last.Op == guest::Opcode::Jcc)
+      Traces.push_back(
+          {Blocks[I], discoverBlock(Mem, Last.branchTarget(
+                                             Blocks[I].InstPcs.back()))});
+  }
+
+  const Translator::PlanFn Plans[] = {
+      [](uint32_t, const guest::GuestInst &) { return MemPlan::Normal; },
+      [](uint32_t, const guest::GuestInst &) { return MemPlan::Elide; },
+      [](uint32_t, const guest::GuestInst &) { return MemPlan::Inline; },
+      [](uint32_t, const guest::GuestInst &) {
+        return MemPlan::MultiVersion;
+      },
+      // Mixed: every plan somewhere, so block multi-version splits
+      // mid-block and fusion sees ineligible neighbours.
+      [](uint32_t Pc, const guest::GuestInst &) {
+        return static_cast<MemPlan>((Pc * 2654435761u) >> 30);
+      },
+  };
+
+  LoweringDigest D;
+  uint32_t RulesSeen = 0;
+  size_t IcSitesSeen = 0;
+  auto Add = [&](const CachedTranslation &P) {
+    D.add(P);
+    for (const CachedTranslation::RelFusedSite &F : P.FusedSites)
+      RulesSeen |= 1u << F.Rule;
+    IcSitesSeen += P.IcSites.size();
+  };
+  for (const Translator::PlanFn &Plan : Plans)
+    for (bool BlockMv : {false, true})
+      for (unsigned IcWays : {0u, 2u})
+        for (uint32_t Mask : {0u, FusionMaskAll}) {
+          TranslationOpts Opts;
+          Opts.BlockMultiVersion = BlockMv;
+          Opts.IcWays = IcWays;
+          Opts.FusionMask = Mask;
+          for (const GuestBlock &Blk : Blocks)
+            Add(Translator::translate(Blk, Plan, Opts));
+          for (const std::vector<GuestBlock> &T : Traces)
+            Add(Translator::translateTrace(T, Plan, Opts));
+        }
+  // The corpus keeps exercising every fusion rule and inline caches.
+  EXPECT_EQ(RulesSeen, FusionMaskAll);
+  EXPECT_GT(IcSitesSeen, 0u);
+
+  // Plain (threshold 0) and adaptive stubs for every trapping host
+  // access, each emitted after its fault site in one shared arena.
+  host::CodeSpace Code;
+  for (host::HostOp Op : {host::HostOp::Ldwu, host::HostOp::Ldl,
+                          host::HostOp::Ldq, host::HostOp::Stw,
+                          host::HostOp::Stl, host::HostOp::Stq})
+    for (int32_t Disp : {0, 3, -6, 32000})
+      for (uint32_t Threshold : {0u, 1u, 64u, 255u}) {
+        host::HostInst Faulting =
+            host::memInst(Op, hostGpr(3), Disp, hostGpr(0));
+        uint32_t FaultW = Code.append(host::encodeHost(Faulting));
+        Translator::StubInfo S = Translator::emitStub(
+            Code, Faulting, FaultW, 0x2000, 0x1000, Threshold);
+        D.add(S.Entry);
+        D.add(S.End);
+        D.add(Translator::stubBranchWord(FaultW, S.Entry));
+      }
+  for (uint32_t W = 0; W != Code.size(); ++W)
+    D.add(Code.word(W));
+
+  EXPECT_EQ(D.H, 0x4af34aede555a668ull)
+      << std::hex << "lowering digest 0x" << D.H;
 }

@@ -37,7 +37,8 @@ else
 fi
 
 BENCHES=(fig16_overall ablation_dispatch ablation_fusion ablation_aot
-         ablation_smc serving_throughput)
+         ablation_smc ablation_adaptive ablation_mv_granularity
+         serving_throughput)
 # Each bench's arguments; every run adds --jobs 4.
 declare -A ARGS=(
   [fig16_overall]="--refs 60000"
@@ -45,6 +46,8 @@ declare -A ARGS=(
   [ablation_fusion]="--refs 60000"
   [ablation_aot]="--refs 60000"
   [ablation_smc]=""
+  [ablation_adaptive]=""
+  [ablation_mv_granularity]=""
   [serving_throughput]="--requests 120 --cache-file serving_cache.bin"
 )
 
