@@ -24,6 +24,8 @@
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,13 +51,26 @@ struct Options {
   bool Aot = false;
 };
 
+/// Parse all of \p Text as an unsigned number in \p Base (0 also takes
+/// 0x/0 prefixes).  False on an empty string, a sign, trailing
+/// characters or overflow.
+inline bool parseUnsigned(const char *Text, int Base, uint64_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, Base);
+  if (errno == ERANGE || *End != '\0')
+    return false;
+  Out = V;
+  return true;
+}
+
 /// Parse the shared flags (--jobs N, --seed S, --refs R, --analysis,
 /// --aot; value flags accept both "--flag N" and "--flag=N").
-/// Recognized flags are removed
-/// from argv so binaries with their own argument consumers
-/// (micro_components hands the remainder to google-benchmark) can layer
-/// on top.  Unknown arguments are left in place.  Exits with a usage
-/// message on a malformed value.
+/// Recognized flags are removed from argv so binaries with their own
+/// flags can layer on top.  Unknown arguments are left in place.  Exits
+/// with a usage message on a malformed value.
 inline Options parseArgs(int &Argc, char **Argv) {
   Options Opt;
   auto Fail = [&](const char *Flag) {
@@ -86,18 +101,18 @@ inline Options parseArgs(int &Argc, char **Argv) {
   int Out = 1;
   for (int I = 1; I < Argc; ++I) {
     const char *Value = nullptr;
+    uint64_t V = 0;
     if (TakeValue("--jobs", I, Value)) {
-      long long V = std::atoll(Value);
-      if (V < 0 || V > 4096)
+      if (!parseUnsigned(Value, 10, V) || V > 4096)
         Fail("--jobs");
       Opt.Jobs = static_cast<unsigned>(V);
     } else if (TakeValue("--seed", I, Value)) {
-      Opt.Seed = std::strtoull(Value, nullptr, 0);
+      if (!parseUnsigned(Value, 0, Opt.Seed))
+        Fail("--seed");
     } else if (TakeValue("--refs", I, Value)) {
-      long long V = std::atoll(Value);
-      if (V <= 10000)
+      if (!parseUnsigned(Value, 10, V) || V <= 10000)
         Fail("--refs");
-      Opt.Refs = static_cast<uint64_t>(V);
+      Opt.Refs = V;
     } else if (std::strcmp(Argv[I], "--analysis") == 0) {
       Opt.Analysis = true;
     } else if (std::strcmp(Argv[I], "--aot") == 0) {

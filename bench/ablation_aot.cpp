@@ -33,9 +33,7 @@
 ///    install cycles never amortize — and are reported as advisories).
 ///
 /// Determinism: the printed table depends only on modeled state, so CI
-/// diffs it across --jobs values.  --perf-json merges an "aot" record
-/// (startup cycles, steady-state MIPS, coverage) into bench_perf.json
-/// for tools/check_perf_floor.sh.
+/// diffs it across --jobs values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +42,6 @@
 #include "mda/PolicyFactory.h"
 
 #include <cmath>
-#include <cstring>
 
 using namespace mdabt;
 using namespace mdabt::bench;
@@ -96,67 +93,13 @@ std::string fixed1(double V) {
   return Buf;
 }
 
-/// Merge the "aot" record into bench_perf.json next to the records the
-/// other bench binaries own (the serving_throughput merge pattern).
-void writeAotPerfJson(const char *Path, uint64_t Blocks,
-                      uint64_t CoveragePct, uint64_t Fallback,
-                      uint64_t StartupCycles, double SteadyMips,
-                      double BaselineMips) {
-  std::string Existing;
-  if (std::FILE *F = std::fopen(Path, "rb")) {
-    char Buf[4096];
-    size_t N;
-    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Existing.append(Buf, N);
-    std::fclose(F);
-  }
-  size_t Close = Existing.find_last_of('}');
-  bool Merge = Close != std::string::npos &&
-               Existing.find("\"aot\"") == std::string::npos;
-  std::FILE *F = std::fopen(Path, "wb");
-  if (!F) {
-    std::fprintf(stderr, "ablation_aot: cannot write %s\n", Path);
-    return;
-  }
-  std::string Head = "{\n";
-  if (Merge) {
-    Head = Existing.substr(0, Close);
-    while (!Head.empty() && (Head.back() == '\n' || Head.back() == ' '))
-      Head.pop_back();
-    Head += ",\n";
-  }
-  std::fprintf(F,
-               "%s  \"aot\": {\n"
-               "    \"aot_blocks\": %llu,\n"
-               "    \"aot_coverage_pct\": %llu,\n"
-               "    \"aot_fallback_blocks\": %llu,\n"
-               "    \"aot_startup_cycles\": %llu,\n"
-               "    \"aot_steady_mips\": %g,\n"
-               "    \"aot_dbt_baseline_mips\": %g\n"
-               "  }\n}\n",
-               Head.c_str(), (unsigned long long)Blocks,
-               (unsigned long long)CoveragePct,
-               (unsigned long long)Fallback,
-               (unsigned long long)StartupCycles, SteadyMips,
-               BaselineMips);
-  std::fclose(F);
-  std::fprintf(stderr, "ablation_aot: perf record written to %s\n", Path);
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   Options Opt = parseArgs(argc, argv);
-  const char *PerfJsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--perf-json") == 0) {
-      PerfJsonPath = "results/bench_perf.json";
-      if (I + 1 < argc && argv[I + 1][0] != '-')
-        PerfJsonPath = argv[++I];
-    } else {
-      std::fprintf(stderr, "error: unknown argument %s\n", argv[I]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "error: unknown argument %s\n", argv[1]);
+    return 2;
   }
 
   banner("Ablation (beyond the paper): static AOT pre-translation vs "
@@ -305,11 +248,6 @@ int main(int argc, char **argv) {
                  (GeomeanGain - 1.0) * 100.0);
     ++Failures;
   }
-
-  if (PerfJsonPath && Failures == 0)
-    writeAotPerfJson(PerfJsonPath, AggBlocks,
-                     static_cast<uint64_t>(MeanCov + 0.5), AggFallback,
-                     AggStartup, HybridMips, BaselineMips);
 
   return Failures == 0 ? 0 : 1;
 }

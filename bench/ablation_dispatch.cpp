@@ -36,8 +36,8 @@
 
 #include "BenchCommon.h"
 
-#include "guest/Assembler.h"
 #include "mda/Policies.h"
+#include "workloads/Kernels.h"
 
 #include <chrono>
 
@@ -67,64 +67,6 @@ std::vector<ConfigRow> configLadder() {
           {"+ic", Ic},
           {"+superblock", Super},
           {"all-on", All}};
-}
-
-/// Hot call/ret kernel: one callee returning alternately to two call
-/// sites, so its return's inline cache needs two ways.
-guest::GuestImage callRetKernel(uint32_t Iters) {
-  using namespace guest;
-  ProgramBuilder B("k.callret");
-  uint32_t Buf = B.dataReserve(64, 8);
-  ProgramBuilder::Label F = B.newLabel();
-  B.movri(1, 0);
-  B.movri(0, static_cast<int32_t>(Buf));
-  B.movri(2, 0);
-  ProgramBuilder::Label Loop = B.here();
-  B.call(F);
-  B.call(F);
-  B.addi(1, 1);
-  B.cmpi(1, static_cast<int32_t>(Iters));
-  B.jcc(Cond::B, Loop);
-  B.chk(2);
-  B.halt();
-  B.bind(F);
-  B.stl(mem(0, 0), 1);
-  B.ldl(3, mem(0, 0));
-  B.add(2, 3);
-  B.ret();
-  return B.build();
-}
-
-/// Hot three-block loop (if/else arms), the shape multi-block
-/// superblock formation straightens.
-guest::GuestImage multiBlockKernel(uint32_t Iters) {
-  using namespace guest;
-  ProgramBuilder B("k.loop3");
-  uint32_t Buf = B.dataReserve(64, 8);
-  B.movri(1, 0);
-  B.movri(0, static_cast<int32_t>(Buf));
-  B.movri(2, 0);
-  ProgramBuilder::Label Odd = B.newLabel(), Join = B.newLabel();
-  ProgramBuilder::Label Loop = B.here();
-  B.movrr(3, 1);
-  B.andi(3, 1);
-  B.cmpi(3, 0);
-  B.jcc(Cond::Ne, Odd);
-  B.stl(mem(0, 0), 1);
-  B.ldl(3, mem(0, 0));
-  B.add(2, 3);
-  B.jmp(Join);
-  B.bind(Odd);
-  B.stl(mem(0, 4), 2);
-  B.ldl(3, mem(0, 4));
-  B.add(2, 3);
-  B.bind(Join);
-  B.addi(1, 1);
-  B.cmpi(1, static_cast<int32_t>(Iters));
-  B.jcc(Cond::B, Loop);
-  B.chk(2);
-  B.halt();
-  return B.build();
 }
 
 /// One row of the ladder table: a SPEC benchmark or a synthetic kernel.
@@ -182,8 +124,8 @@ int main(int argc, char **argv) {
       {"433.milc", workloads::findBenchmark("433.milc")},
       {"453.povray", workloads::findBenchmark("453.povray")},
       {"482.sphinx3", workloads::findBenchmark("482.sphinx3")},
-      {"k.callret", nullptr, callRetKernel},
-      {"k.loop3", nullptr, multiBlockKernel},
+      {"k.callret", nullptr, workloads::buildCallRetKernel},
+      {"k.loop3", nullptr, workloads::buildThreeBlockLoopKernel},
   };
 
   // --- detailed ladder over the subset -------------------------------

@@ -162,20 +162,25 @@ int main(int argc, char **argv) {
         return argv[++I];
       return nullptr;
     };
-    if (const char *V = Value("--campaign")) {
-      ReplayMain = std::atoll(V);
-    } else if (const char *V = Value("--smc-campaign")) {
-      ReplaySmc = std::atoll(V);
-    } else if (const char *V = Value("--shared-campaign")) {
-      ReplayShared = std::atoll(V);
-    } else {
+    const char *V = nullptr;
+    long long *Target = nullptr;
+    if ((V = Value("--campaign")))
+      Target = &ReplayMain;
+    else if ((V = Value("--smc-campaign")))
+      Target = &ReplaySmc;
+    else if ((V = Value("--shared-campaign")))
+      Target = &ReplayShared;
+    uint64_t N = 0;
+    if (!Target || !parseUnsigned(V, 10, N) || N > INT64_MAX) {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--seed S] [--campaign I] "
                    "[--smc-campaign I] [--shared-campaign I]\n"
-                   "error: unknown argument %s\n",
-                   argv[0], Arg);
+                   "error: %s %s\n",
+                   argv[0], Target ? "bad value for" : "unknown argument",
+                   Arg);
       return 2;
     }
+    *Target = static_cast<long long>(N);
   }
   const bool Replay =
       ReplayMain >= 0 || ReplaySmc >= 0 || ReplayShared >= 0;

@@ -29,8 +29,7 @@
 /// stdout (the per-tenant oracle table and phase verdicts) depends only
 /// on modeled state, so CI diffs it across --jobs values.  Wall-clock
 /// latency percentiles, aggregate MIPS and the cold-phase hit rate are
-/// scheduling-dependent and go to stderr — and into the bench_perf.json
-/// "serving" record via --perf-json [path].
+/// scheduling-dependent and go to stderr.
 ///
 /// Flags beyond the common set: --requests N (replay length per phase),
 /// --cache-file PATH (keep the artifact instead of a scratch file).
@@ -199,56 +198,6 @@ PhaseStats runPhase(const std::vector<Tenant> &Tenants,
   return S;
 }
 
-/// Merge the serving record into bench_perf.json: if \p Path already
-/// holds the micro_components record, the "serving" object is appended
-/// inside the top-level braces; otherwise a standalone file is written.
-void writeServingPerfJson(const char *Path, size_t Requests,
-                          const PhaseStats &Cold, const PhaseStats &Warm,
-                          double ColdModeled, double WarmModeled) {
-  std::string Existing;
-  if (std::FILE *F = std::fopen(Path, "rb")) {
-    char Buf[4096];
-    size_t N;
-    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Existing.append(Buf, N);
-    std::fclose(F);
-  }
-  size_t Close = Existing.find_last_of('}');
-  bool Merge = Close != std::string::npos &&
-               Existing.find("\"serving\"") == std::string::npos;
-  std::FILE *F = std::fopen(Path, "wb");
-  if (!F) {
-    std::fprintf(stderr, "serving_throughput: cannot write %s\n", Path);
-    return;
-  }
-  std::string Head = "{\n";
-  if (Merge) {
-    Head = Existing.substr(0, Close);
-    while (!Head.empty() && (Head.back() == '\n' || Head.back() == ' '))
-      Head.pop_back();
-    Head += ",\n";
-  }
-  std::fprintf(F,
-               "%s  \"serving\": {\n"
-               "    \"requests\": %zu,\n"
-               "    \"serving_cold_mips\": %g,\n"
-               "    \"serving_warm_mips\": %g,\n"
-               "    \"serving_cold_modeled_mips\": %g,\n"
-               "    \"serving_warm_modeled_mips\": %g,\n"
-               "    \"warm_hit_rate\": %g,\n"
-               "    \"cold_p50_ms\": %g,\n"
-               "    \"cold_p99_ms\": %g,\n"
-               "    \"warm_p50_ms\": %g,\n"
-               "    \"warm_p99_ms\": %g\n"
-               "  }\n}\n",
-               Head.c_str(), Requests, Cold.Mips, Warm.Mips, ColdModeled,
-               WarmModeled, Warm.HitRate, Cold.P50Ms, Cold.P99Ms,
-               Warm.P50Ms, Warm.P99Ms);
-  std::fclose(F);
-  std::fprintf(stderr, "serving_throughput: perf record written to %s\n",
-               Path);
-}
-
 void advisory(const char *Phase, const PhaseStats &S) {
   std::fprintf(stderr,
                "advisory: %-11s %7.2fs wall, %8.1f MIPS aggregate, "
@@ -264,21 +213,16 @@ int main(int argc, char **argv) {
   Options Opt = parseArgs(argc, argv);
   size_t NumRequests = 1200;
   const char *CacheFile = nullptr;
-  const char *PerfJsonPath = nullptr;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--requests") == 0 && I + 1 < argc) {
-      long long V = std::atoll(argv[++I]);
-      if (V <= 0) {
+      uint64_t V = 0;
+      if (!parseUnsigned(argv[++I], 10, V) || V == 0) {
         std::fprintf(stderr, "error: bad value for --requests\n");
         return 2;
       }
       NumRequests = static_cast<size_t>(V);
     } else if (std::strcmp(argv[I], "--cache-file") == 0 && I + 1 < argc) {
       CacheFile = argv[++I];
-    } else if (std::strcmp(argv[I], "--perf-json") == 0) {
-      PerfJsonPath = "results/bench_perf.json";
-      if (I + 1 < argc && argv[I + 1][0] != '-')
-        PerfJsonPath = argv[++I];
     } else {
       std::fprintf(stderr, "error: unknown argument %s\n", argv[I]);
       return 2;
@@ -420,9 +364,6 @@ int main(int argc, char **argv) {
   advisory("cold", Cold);
   advisory("warm", Warm);
   advisory("disk-warmed", Disk);
-  if (PerfJsonPath)
-    writeServingPerfJson(PerfJsonPath, Requests.size(), Cold, Warm,
-                         ColdModeled, WarmModeled);
 
   return Failures == 0 ? 0 : 1;
 }

@@ -9,6 +9,7 @@
 #include "dbt/Engine.h"
 #include "dbt/FusionRules.h"
 #include "dbt/Translation.h"
+#include "guest/GuestImage.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -278,7 +279,8 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
 }
 
 /// Parse one entry; returns false on a structural defect (truncated
-/// stream, implausible counts, metadata outside the word range).
+/// stream, implausible counts, metadata outside the word range, guest
+/// ranges outside guest memory).
 bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   Key.Lo = C.u64();
   Key.Hi = C.u64();
@@ -349,7 +351,7 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
       return false;
     for (uint32_t W = 0; W != NWays; ++W) {
       uint32_t B = C.u32();
-      if (B + IcWayWords > NWords)
+      if (NWords < IcWayWords || B > NWords - IcWayWords)
         return false;
       S.WayBegins.push_back(B);
     }
@@ -366,7 +368,7 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   for (uint32_t I = 0; I != NRanges; ++I) {
     uint32_t Lo = C.u32();
     uint32_t HiB = C.u32();
-    if (Lo >= HiB)
+    if (Lo >= HiB || HiB > guest::layout::MemorySize)
       return false;
     T.GuestRanges.push_back({Lo, HiB});
   }

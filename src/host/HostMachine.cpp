@@ -75,8 +75,8 @@ ExitInfo HostMachine::run(uint32_t EntryWord) {
       assert(D.Valid && "executing an undecodable host word");
       I = D.Inst;
     } else {
-      // Legacy decode-per-cycle path, kept selectable so
-      // bench/micro_components can measure what predecoding buys.
+      // Decode-per-cycle path, kept selectable as the reference the
+      // predecoded path is tested against (tests/codecache_test.cpp).
       [[maybe_unused]] bool Ok = decodeHost(Code.word(Pc), I);
       assert(Ok && "executing an undecodable host word");
     }

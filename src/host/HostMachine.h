@@ -126,8 +126,9 @@ public:
   /// Fetch instructions from the CodeSpace's predecoded view (decode
   /// once at install) instead of decoding the raw word every simulated
   /// cycle.  Execution is bit-identical either way — decoding is not
-  /// cycle-charged — so this stays on everywhere; micro_components
-  /// turns it off to measure the host-simulator speedup it provides.
+  /// cycle-charged — so this stays on everywhere; CodeCacheTest
+  /// (PredecodeBitIdenticalUnderRetryPatching) turns it off as the
+  /// reference the predecoded path is checked against.
   bool UsePredecode = true;
 
 private:

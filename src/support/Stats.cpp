@@ -57,14 +57,3 @@ uint64_t CounterBag::get(const std::string &Name) const {
       return Entry.second;
   return 0;
 }
-
-void CounterBag::merge(const CounterBag &Other) {
-  for (const auto &Entry : Other.Entries)
-    add(Entry.first, Entry.second);
-}
-
-void CounterBag::maxWith(const CounterBag &Other) {
-  for (const auto &Entry : Other.Entries)
-    if (Entry.second > get(Entry.first))
-      set(Entry.first, Entry.second);
-}

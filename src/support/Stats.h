@@ -36,7 +36,7 @@ double arithmeticMean(const std::vector<double> &Values);
 /// views always agree.  New consumers should prefer
 /// RunResult::Metrics (typed counters/gauges/histograms, JSON
 /// serialization — see docs/TELEMETRY.md); CounterBag remains for the
-/// table printers and for merge/maxWith aggregation across runs.
+/// table printers and by-name lookups in benches and tests.
 class CounterBag {
 public:
   /// Add \p Delta to counter \p Name, creating it at zero if absent.
@@ -48,13 +48,6 @@ public:
 
   /// Value of counter \p Name; 0 if it was never touched.
   uint64_t get(const std::string &Name) const;
-
-  /// Merge all counters of \p Other into this bag.
-  void merge(const CounterBag &Other);
-
-  /// Keep the elementwise maximum of this bag and \p Other (for
-  /// worst-case aggregation across runs).
-  void maxWith(const CounterBag &Other);
 
   /// All (name, value) pairs in insertion order.
   const std::vector<std::pair<std::string, uint64_t>> &entries() const {

@@ -447,3 +447,57 @@ GuestImage mdabt::workloads::buildFusionMemsetKernel(uint32_t Words,
   B.halt();
   return B.build();
 }
+
+// -- dispatch-bound kernels --------------------------------------------------
+
+GuestImage mdabt::workloads::buildCallRetKernel(uint32_t Iters) {
+  ProgramBuilder B("k.callret");
+  uint32_t Buf = B.dataReserve(64, 8);
+  ProgramBuilder::Label F = B.newLabel();
+  B.movri(1, 0);
+  B.movri(0, static_cast<int32_t>(Buf));
+  B.movri(2, 0);
+  ProgramBuilder::Label Loop = B.here();
+  B.call(F);
+  B.call(F);
+  B.addi(1, 1);
+  B.cmpi(1, static_cast<int32_t>(Iters));
+  B.jcc(Cond::B, Loop);
+  B.chk(2);
+  B.halt();
+  B.bind(F);
+  B.stl(mem(0, 0), 1);
+  B.ldl(3, mem(0, 0));
+  B.add(2, 3);
+  B.ret();
+  return B.build();
+}
+
+GuestImage mdabt::workloads::buildThreeBlockLoopKernel(uint32_t Iters) {
+  ProgramBuilder B("k.loop3");
+  uint32_t Buf = B.dataReserve(64, 8);
+  B.movri(1, 0);
+  B.movri(0, static_cast<int32_t>(Buf));
+  B.movri(2, 0);
+  ProgramBuilder::Label Odd = B.newLabel(), Join = B.newLabel();
+  ProgramBuilder::Label Loop = B.here();
+  B.movrr(3, 1);
+  B.andi(3, 1);
+  B.cmpi(3, 0);
+  B.jcc(Cond::Ne, Odd);
+  B.stl(mem(0, 0), 1);
+  B.ldl(3, mem(0, 0));
+  B.add(2, 3);
+  B.jmp(Join);
+  B.bind(Odd);
+  B.stl(mem(0, 4), 2);
+  B.ldl(3, mem(0, 4));
+  B.add(2, 3);
+  B.bind(Join);
+  B.addi(1, 1);
+  B.cmpi(1, static_cast<int32_t>(Iters));
+  B.jcc(Cond::B, Loop);
+  B.chk(2);
+  B.halt();
+  return B.build();
+}

@@ -121,9 +121,9 @@ guest::GuestImage buildProgram(const ProgramPlan &Plan, InputKind Input,
 // runs of indexed memory ops sharing one (base, index, scale) address
 // (SharedAddr), load-modify-store read-modify-writes (LdOpSt), mov-op
 // chains (MovOp/MovOpI), and loops closed with `addi -1; cmpi 0; jcc Ne`
-// (ImmNeg + CmpBr0).  Used by bench/ablation_fusion and the
-// micro_components fusion row; all accesses are aligned so the measured
-// delta is pure code-density effect, not MDA-policy noise.
+// (ImmNeg + CmpBr0).  Used by bench/ablation_fusion and the fusion
+// tests; all accesses are aligned so the measured delta is pure
+// code-density effect, not MDA-policy noise.
 
 /// A memcpy-like kernel: copy \p Words 32-bit words from a source to a
 /// destination array, \p Rounds times, two words per iteration plus a
@@ -134,6 +134,21 @@ guest::GuestImage buildFusionMemcpyKernel(uint32_t Words, uint32_t Rounds);
 /// iteration, one shared indexed address) with an evolving pattern,
 /// \p Rounds times.
 guest::GuestImage buildFusionMemsetKernel(uint32_t Words, uint32_t Rounds);
+
+// -- dispatch-bound kernels ----------------------------------------------
+//
+// The synthesized SPEC programs keep their indirect branches (call/ret)
+// cold; these two aligned kernels keep dispatch hot.  Used by
+// bench/ablation_dispatch and the dispatch tests.
+
+/// `k.callret`: \p Iters rounds of two calls to one callee that returns
+/// alternately to the two call sites, so its return's inline cache
+/// needs two ways.
+guest::GuestImage buildCallRetKernel(uint32_t Iters);
+
+/// `k.loop3`: a hot three-block loop (if/else arms) run \p Iters times,
+/// the shape multi-block superblock formation straightens.
+guest::GuestImage buildThreeBlockLoopKernel(uint32_t Iters);
 
 } // namespace workloads
 } // namespace mdabt

@@ -25,6 +25,8 @@
 #include "guest/GuestMemory.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
+#include "workloads/SpecCatalog.h"
+#include "workloads/SpecPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -300,6 +302,33 @@ TEST(CfgTest, AotModesArchitecturallyIdentical) {
         EXPECT_GT(R.Counters.get("aot.startup_cycles"), 0u);
       }
     }
+  }
+}
+
+TEST(CfgTest, SpecRowModeledCostIsPinned) {
+  // Exact modeled cost of one bench/ablation_aot cell (164.gzip, REF
+  // input at 60K refs, EH) with AOT off and hybrid.  Startup
+  // recovery, pre-translation and lazy install cycles all land in
+  // Cycles, so re-pricing any of them fails here.
+  struct Cell {
+    dbt::AotMode Mode;
+    uint64_t Cycles, HostInsts;
+  };
+  const Cell Cells[] = {
+      {dbt::AotMode::Off, 496627, 244269},
+      {dbt::AotMode::Hybrid, 468302, 258988},
+  };
+  workloads::ScaleConfig Scale;
+  Scale.TotalRefs = 60000;
+  guest::GuestImage Image = workloads::buildBenchmark(
+      *workloads::findBenchmark("164.gzip"), workloads::InputKind::Ref,
+      Scale);
+  for (const Cell &C : Cells) {
+    dbt::RunResult R = runAot(Image, mda::PolicySpec(), C.Mode);
+    const char *Name = dbt::aotModeName(C.Mode);
+    ASSERT_TRUE(R.completed()) << Name;
+    EXPECT_EQ(R.Cycles, C.Cycles) << Name;
+    EXPECT_EQ(R.Counters.get("host.insts"), C.HostInsts) << Name;
   }
 }
 

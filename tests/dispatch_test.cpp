@@ -20,6 +20,7 @@
 #include "dbt/DispatchTable.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
+#include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
 
@@ -60,32 +61,6 @@ dbt::EngineConfig allOn() {
   return Config;
 }
 
-/// Hot call/ret kernel: one callee returning alternately to two call
-/// sites, so the return's inline cache needs two ways.
-guest::GuestImage callRetProgram(uint32_t Iters) {
-  using namespace guest;
-  ProgramBuilder B("callret");
-  uint32_t Buf = B.dataReserve(64, 8);
-  ProgramBuilder::Label F = B.newLabel();
-  B.movri(1, 0);
-  B.movri(0, static_cast<int32_t>(Buf));
-  B.movri(2, 0);
-  ProgramBuilder::Label Loop = B.here();
-  B.call(F);
-  B.call(F);
-  B.addi(1, 1);
-  B.cmpi(1, static_cast<int32_t>(Iters));
-  B.jcc(Cond::B, Loop);
-  B.chk(2);
-  B.halt();
-  B.bind(F);
-  B.stl(mem(0, 0), 1);
-  B.ldl(3, mem(0, 0));
-  B.add(2, 3);
-  B.ret();
-  return B.build();
-}
-
 /// A call whose *return-continuation* block turns misaligned at
 /// iteration \p Onset: the callee bumps the shared base pointer once,
 /// so the continuation (the block an inline-cache way targets) faults,
@@ -120,38 +95,6 @@ guest::GuestImage lateOnsetCallProgram(uint32_t Iters, uint32_t Onset) {
   B.stl(mem(3, 0), 0);
   B.bind(Fret);
   B.ret();
-  return B.build();
-}
-
-/// Hot three-block loop (if/else arms), the shape multi-block
-/// superblock formation straightens.
-guest::GuestImage threeBlockLoopProgram(uint32_t Iters) {
-  using namespace guest;
-  ProgramBuilder B("loop3");
-  uint32_t Buf = B.dataReserve(64, 8);
-  B.movri(1, 0);
-  B.movri(0, static_cast<int32_t>(Buf));
-  B.movri(2, 0);
-  ProgramBuilder::Label Odd = B.newLabel(), Join = B.newLabel();
-  ProgramBuilder::Label Loop = B.here();
-  B.movrr(3, 1);
-  B.andi(3, 1);
-  B.cmpi(3, 0);
-  B.jcc(Cond::Ne, Odd);
-  B.stl(mem(0, 0), 1);
-  B.ldl(3, mem(0, 0));
-  B.add(2, 3);
-  B.jmp(Join);
-  B.bind(Odd);
-  B.stl(mem(0, 4), 2);
-  B.ldl(3, mem(0, 4));
-  B.add(2, 3);
-  B.bind(Join);
-  B.addi(1, 1);
-  B.cmpi(1, static_cast<int32_t>(Iters));
-  B.jcc(Cond::B, Loop);
-  B.chk(2);
-  B.halt();
   return B.build();
 }
 
@@ -362,7 +305,7 @@ TEST(DispatchEngineTest, HashDispatchIsArchitecturallyTransparent) {
 }
 
 TEST(DispatchEngineTest, InlineCachesFillAndCutMonitorEntries) {
-  guest::GuestImage Image = callRetProgram(500);
+  guest::GuestImage Image = workloads::buildCallRetKernel(500);
   Oracle O = interpretOracle(Image);
   mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 50, false, 0, false};
   dbt::EngineConfig Plain;
@@ -415,7 +358,7 @@ TEST(DispatchEngineTest, SuperblockFormsOnHotSelfLoop) {
 TEST(DispatchEngineTest, SuperblockStraightensMultiBlockLoop) {
   // Long enough that the straightened loop amortizes the one-time trace
   // translation cost in modeled cycles.
-  guest::GuestImage Image = threeBlockLoopProgram(5000);
+  guest::GuestImage Image = workloads::buildThreeBlockLoopKernel(5000);
   Oracle O = interpretOracle(Image);
   mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 50, false, 0, false};
   dbt::EngineConfig Plain;
@@ -495,10 +438,9 @@ TEST(DispatchEngineTest, HashTableStaysCoherentAcrossFlushStorms) {
 // ---- every combination is transparent and deterministic ---------------------
 
 TEST(DispatchEngineTest, AllConfigCombinationsMatchOracle) {
-  const guest::GuestImage Images[] = {misalignedSumProgram(400),
-                                      callRetProgram(400),
-                                      threeBlockLoopProgram(400),
-                                      lateOnsetProgram(400, 100)};
+  const guest::GuestImage Images[] = {
+      misalignedSumProgram(400), workloads::buildCallRetKernel(400),
+      workloads::buildThreeBlockLoopKernel(400), lateOnsetProgram(400, 100)};
   for (const guest::GuestImage &Image : Images) {
     Oracle O = interpretOracle(Image);
     for (unsigned Bits = 0; Bits != 8; ++Bits) {
@@ -516,7 +458,7 @@ TEST(DispatchEngineTest, AllConfigCombinationsMatchOracle) {
 }
 
 TEST(DispatchEngineTest, AllOnReplaysBitIdentically) {
-  guest::GuestImage Image = callRetProgram(500);
+  guest::GuestImage Image = workloads::buildCallRetKernel(500);
   mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 50, false, 0, false};
   dbt::RunResult A = runDispatch(Image, Spec, allOn());
   dbt::RunResult B = runDispatch(Image, Spec, allOn());
@@ -526,6 +468,37 @@ TEST(DispatchEngineTest, AllOnReplaysBitIdentically) {
   ASSERT_EQ(A.Counters.entries().size(), B.Counters.entries().size());
   for (const auto &Entry : A.Counters.entries())
     EXPECT_EQ(Entry.second, B.Counters.get(Entry.first)) << Entry.first;
+}
+
+TEST(DispatchEngineTest, CallRetModeledCostIsPinned) {
+  // Exact modeled cost of k.callret under DPEH(50) on each rung of the
+  // bench/ablation_dispatch ladder.  Cycles and host instructions are
+  // deterministic, so a change in what any dispatch mechanism costs or
+  // emits fails here; a deliberate cost-model change updates the table.
+  struct Rung {
+    const char *Name;
+    bool Hash, Ic, Super;
+    uint64_t Cycles, HostInsts;
+  };
+  const Rung Ladder[] = {
+      {"baseline", false, false, false, 308545, 58845},
+      {"+hash", true, false, false, 130570, 58845},
+      {"+ic", false, true, false, 104551, 88177},
+      {"+superblock", false, false, true, 305663, 54949},
+      {"all-on", true, true, true, 99146, 84278},
+  };
+  guest::GuestImage Image = workloads::buildCallRetKernel(2000);
+  for (const Rung &R : Ladder) {
+    dbt::EngineConfig Config;
+    Config.HashDispatch = R.Hash;
+    Config.InlineCaches = R.Ic;
+    Config.Superblocks = R.Super;
+    dbt::RunResult Run = runDispatch(
+        Image, {mda::MechanismKind::Dpeh, 50, false, 0, false}, Config);
+    ASSERT_TRUE(Run.completed()) << R.Name;
+    EXPECT_EQ(Run.Cycles, R.Cycles) << R.Name;
+    EXPECT_EQ(Run.Counters.get("host.insts"), R.HostInsts) << R.Name;
+  }
 }
 
 namespace {

@@ -460,6 +460,33 @@ TEST(FusionKernelTest, FusionDenseKernelsFuseAndStayExact) {
   }
 }
 
+TEST(FusionKernelTest, MemcpyKernelModeledCostIsPinned) {
+  // Exact modeled cost of the fusion-dense memcpy kernel under DPEH(50)
+  // with fusion off and with every rule on.  host.insts over the fixed
+  // guest instruction count is the kernel's code density, so masking or
+  // re-pricing any rule the kernel fires fails here.
+  struct Cell {
+    const char *Name;
+    uint32_t Mask;
+    uint64_t Cycles, HostInsts;
+  };
+  const Cell Cells[] = {
+      {"fusion off", 0, 113584, 79680},
+      {"all rules", FusionMaskAll, 86000, 52290},
+  };
+  guest::GuestImage Image = workloads::buildFusionMemcpyKernel(256, 20);
+  for (const Cell &C : Cells) {
+    dbt::EngineConfig Config;
+    Config.Fusion = C.Mask != 0;
+    Config.FusionMask = C.Mask;
+    dbt::RunResult R = runWith(
+        Image, {mda::MechanismKind::Dpeh, 50, false, 0, false}, Config);
+    ASSERT_TRUE(R.completed()) << C.Name;
+    EXPECT_EQ(R.Cycles, C.Cycles) << C.Name;
+    EXPECT_EQ(R.Counters.get("host.insts"), C.HostInsts) << C.Name;
+  }
+}
+
 // -- serving integration -----------------------------------------------------
 
 namespace {

@@ -19,6 +19,8 @@
 #include "dbt/TranslationService.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
+#include "workloads/SpecCatalog.h"
+#include "workloads/SpecPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -284,6 +286,28 @@ TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
   }
 }
 
+TEST(ServingTest, ColdThenWarmModeledCostIsPinned) {
+  // Exact modeled cost of one serving tenant (164.gzip, REF input at
+  // the serving bench's 20K refs per request, DPEH) run cold and then
+  // warm on one shared service.  The warm run pays install instead of
+  // translation cycles, so re-pricing either fails here.
+  workloads::ScaleConfig Scale;
+  Scale.TotalRefs = 20000;
+  guest::GuestImage Image = workloads::buildBenchmark(
+      *workloads::findBenchmark("164.gzip"), workloads::InputKind::Ref,
+      Scale);
+  const mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 50, false, 4, false};
+  dbt::TranslationService Service;
+  dbt::RunResult Cold = runWith(Image, Spec, servingConfig(&Service));
+  dbt::RunResult Warm = runWith(Image, Spec, servingConfig(&Service));
+  ASSERT_TRUE(Cold.completed());
+  ASSERT_TRUE(Warm.completed());
+  EXPECT_EQ(Cold.Cycles, 271907u);
+  EXPECT_EQ(Cold.Counters.get("host.insts"), 70868u);
+  EXPECT_EQ(Warm.Cycles, 239051u);
+  EXPECT_EQ(Warm.Counters.get("host.insts"), 70868u);
+}
+
 TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {
   // A tight arena forces mid-run flushes; post-flush re-installs hit
   // the cache and land at different arena bases than the published
@@ -483,6 +507,60 @@ TEST(ServingPersistTest, CorruptArtifactsAreRejectedWhole) {
   ExpectRejected(BadVersion, "bad version");
   // Empty file.
   ExpectRejected({}, "empty file");
+
+  // Bounds the checksum cannot catch: patch one field of a one-entry
+  // artifact and recompute the header's payload checksum, so the entry
+  // parser itself must refuse the value.  The entry has 8 host words,
+  // one inline-cache way at word 2 and one guest range; the serialized
+  // entry ends with way begin, constituent count, range count, range
+  // Lo, range Hi and fused-site count.
+  {
+    dbt::TranslationService One;
+    dbt::CachedTranslation T;
+    T.Words.assign(8, 0);
+    T.IcSites.push_back({0, {2}});
+    T.GuestRanges.push_back({0x1000, 0x1040});
+    One.publish({1, 2}, std::move(T));
+    ASSERT_TRUE(One.save(ArtifactPath));
+  }
+  const std::vector<uint8_t> OneEntry = slurp(ArtifactPath);
+  const size_t WayBeginAt = OneEntry.size() - 24;
+  const size_t RangeHiAt = OneEntry.size() - 8;
+  auto Patched = [&](size_t At, uint32_t V) {
+    std::vector<uint8_t> Bytes = OneEntry;
+    for (int I = 0; I != 4; ++I)
+      Bytes[At + I] = static_cast<uint8_t>(V >> (8 * I));
+    // Header: magic, version, count, payload length, payload FNV-1a.
+    uint64_t Sum = dbt::fnv1a(Bytes.data() + 32, Bytes.size() - 32);
+    for (int I = 0; I != 8; ++I)
+      Bytes[24 + I] = static_cast<uint8_t>(Sum >> (8 * I));
+    return Bytes;
+  };
+  auto ExpectLoads = [&](const std::vector<uint8_t> &Bytes,
+                         const char *What) {
+    spit(ArtifactPath, Bytes);
+    dbt::TranslationService Victim;
+    EXPECT_TRUE(Victim.load(ArtifactPath)) << What;
+    EXPECT_EQ(Victim.cache().entries(), 1u) << What;
+  };
+  // The offsets hold the published values, and in-bounds patches still
+  // load (a way may end exactly at the last word, a guest range exactly
+  // at the end of guest memory).
+  ASSERT_EQ(Patched(WayBeginAt, 2), OneEntry);
+  ASSERT_EQ(Patched(RangeHiAt, 0x1040), OneEntry);
+  ExpectLoads(OneEntry, "published entry");
+  ExpectLoads(Patched(WayBeginAt, 0), "way begin 0");
+  ExpectLoads(Patched(RangeHiAt, guest::layout::MemorySize),
+              "range ending at the end of guest memory");
+  // Inline-cache way begins past the word range, including ones where
+  // begin + way length wraps around in 32 bits.
+  ExpectRejected(Patched(WayBeginAt, 3), "way begin 3 past the end");
+  ExpectRejected(Patched(WayBeginAt, 0xFFFFFFFEu), "way begin wraps (-2)");
+  ExpectRejected(Patched(WayBeginAt, 0xFFFFFFFAu), "way begin wraps (-6)");
+  // Guest ranges past the end of guest memory.
+  ExpectRejected(Patched(RangeHiAt, guest::layout::MemorySize + 1),
+                 "range past guest memory");
+  ExpectRejected(Patched(RangeHiAt, 0xFFFFFFFFu), "range end 0xFFFFFFFF");
 
   // The pristine artifact still loads after all that.
   spit(ArtifactPath, Good);
