@@ -134,20 +134,22 @@ struct VerifierFusedSite {
 
 /// One live translation as the engine knows it.
 struct VerifierBlock {
+  // Every member has an initializer, so aggregate initializers may
+  // omit trailing ones without -Wmissing-field-initializers.
   uint32_t EntryWord = 0;
   uint32_t EndWord = 0; ///< One past the body's last word.
-  std::vector<VerifierRegion> Stubs;
-  std::vector<VerifierPatch> Patches;
-  std::vector<uint32_t> ExitWords;
+  std::vector<VerifierRegion> Stubs{};
+  std::vector<VerifierPatch> Patches{};
+  std::vector<uint32_t> ExitWords{};
   /// Non-quarantined inline-cache ways at indirect exits.
-  std::vector<VerifierIcWay> IcWays;
+  std::vector<VerifierIcWay> IcWays{};
   /// Half-open *guest byte* ranges this translation was compiled from
   /// (check 8; empty disables the check for this block).
-  std::vector<VerifierRegion> GuestRanges;
+  std::vector<VerifierRegion> GuestRanges{};
   /// Guest-store epoch when this translation was installed (check 8).
   uint64_t BornEpoch = 0;
   /// Fused guest-idiom cores with their reference words (check 9).
-  std::vector<VerifierFusedSite> FusedSites;
+  std::vector<VerifierFusedSite> FusedSites{};
   /// Installed by the static AOT pre-translator (check 10).
   bool AotInstalled = false;
 };

@@ -55,15 +55,17 @@ void checkRunCompleted(const dbt::RunResult &R, const std::string &What);
 /// carry its own Run closure (ablations whose policy options are not
 /// expressible as a PolicySpec, chaos campaigns carrying a FaultPlan).
 struct MatrixCell {
+  // Every member has an initializer, so designated initializers may
+  // omit any of them without -Wmissing-field-initializers.
   const workloads::BenchmarkInfo *Info = nullptr;
-  mda::PolicySpec Spec;
-  dbt::EngineConfig Config;
+  mda::PolicySpec Spec{};
+  dbt::EngineConfig Config{};
   /// Label for failure diagnostics; defaults to "<bench> under <policy>".
-  std::string Label;
+  std::string Label{};
   /// Custom runner overriding the default runPolicy path.  Must be
   /// self-contained: it executes on a worker thread, concurrently with
   /// other cells.
-  std::function<dbt::RunResult()> Run;
+  std::function<dbt::RunResult()> Run{};
 
   std::string label() const;
 };

@@ -310,9 +310,10 @@ void expectPredecodeCoherent(const host::CodeSpace &Code) {
     bool Ok = host::decodeHost(Code.word(I), Fresh);
     const host::CodeSpace::DecodedWord &D = Code.decodedWord(I);
     ASSERT_EQ(D.Valid, Ok) << "stale validity at word " << I;
-    if (Ok)
+    if (Ok) {
       EXPECT_EQ(host::encodeHost(D.Inst), host::encodeHost(Fresh))
           << "stale instruction at word " << I;
+    }
   }
 }
 

@@ -140,11 +140,15 @@ std::vector<SeqParam> allParams() {
 INSTANTIATE_TEST_SUITE_P(AllSizesOffsetsDisps, MdaSequenceTest,
                          ::testing::ValuesIn(allParams()),
                          [](const ::testing::TestParamInfo<SeqParam> &I) {
-                           return "s" + std::to_string(I.param.Size) + "_o" +
-                                  std::to_string(I.param.Offset) + "_d" +
-                                  (I.param.Disp < 0
-                                       ? "m" + std::to_string(-I.param.Disp)
-                                       : std::to_string(I.param.Disp));
+                           std::string Name = "s";
+                           Name += std::to_string(I.param.Size);
+                           Name += "_o";
+                           Name += std::to_string(I.param.Offset);
+                           Name += I.param.Disp < 0 ? "_dm" : "_d";
+                           Name += std::to_string(I.param.Disp < 0
+                                                      ? -I.param.Disp
+                                                      : I.param.Disp);
+                           return Name;
                          });
 
 TEST(MdaSequenceLengthTest, MatchesEmittedLength) {
