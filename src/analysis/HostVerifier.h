@@ -14,8 +14,8 @@
 ///
 /// Checked invariants (see DESIGN.md for the rationale of each):
 ///  1. predecode coherence: the CodeSpace's decoded mirror matches a
-///     fresh decode of every raw word in the arena, and valid entries
-///     round-trip through the encoder;
+///     fresh decode of every raw word in the arena field for field, and
+///     valid entries round-trip through the encoder;
 ///  2. every word inside a live region decodes;
 ///  3. branch targets land on instruction boundaries inside live
 ///     regions;
@@ -36,7 +36,7 @@
 ///     ranges carry a dirty epoch newer than the translation's birth —
 ///     i.e. the engine's write barrier invalidated every translation
 ///     whose source bytes were rewritten (self-modifying code) before
-///     this verification point;
+///     this verification point (the issue names the lowest such byte);
 ///  9. fused-sequence integrity: every fused guest-idiom core
 ///     (dbt/FusionRules.h) is byte-exact against the words the
 ///     translator emitted at install time — fusion rewrites guest
@@ -53,7 +53,42 @@
 ///
 /// The verifier is read-only and engine-agnostic: the engine describes
 /// its bookkeeping through `VerifierInput` and gets a `VerifyReport`
-/// back.
+/// back.  Words, regions, patches, exits and inline-cache ways that the
+/// input places past the end of the arena are reported as their site's
+/// issue kind (aux = the arena size), never read.
+///
+/// **Memory between sweeps.**  The engine sweeps after every mutation
+/// of installed code, and most sweeps follow a change of a handful of
+/// words.  A `CodeVerifier` therefore remembers what its last clean
+/// sweep proved and re-checks only what changed since:
+///  - a snapshot of the raw arena words it vouched for (4 bytes a word);
+///  - per live region, keyed by its `[Begin, End)`: the region's MDA
+///    sequence count (checks 2 and 6 passed on it) and its branch words
+///    with their targets.
+///
+/// Each sweep `memcmp`s the arena against the snapshot.  Check 1 runs
+/// on the words that differ and on appended words; checks 2, 3 and 6
+/// re-run on every region that is new or holds a changed word.  The
+/// compare, not the engine's account of what it wrote, decides what
+/// changed: a torn or dropped hook write, or any write the engine's
+/// bookkeeping missed, is exactly what the verifier exists to catch, so
+/// it cannot take that bookkeeping's word for it.  An unchanged raw word
+/// has an unchanged predecoded mirror (`CodeSpace` re-derives the mirror
+/// from the stored word on every write), so check 1's earlier proof
+/// still holds for it.
+///
+/// Liveness changes without any word changing (invalidation, flushes,
+/// quarantine), so every remembered branch target is re-judged against
+/// the current live set and `ExemptWords` on every sweep.  Checks 4, 5,
+/// 7, 8, 9 and 10 cost O(sites), not O(words), and run in full on every
+/// sweep.  When the arena shrinks (a flush), all memory is dropped.
+///
+/// A clean incremental sweep returns the counts a from-scratch sweep
+/// would (`WordsChecked` is the arena size: the words the sweep vouches
+/// for).  A sweep that finds any issue drops its memory and returns the
+/// from-scratch report instead, so issue lists and their order never
+/// depend on what the verifier remembered.  `verifyCodeSpace` is the
+/// verifier with an empty memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +98,11 @@
 #include "host/CodeSpace.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace mdabt {
@@ -129,7 +166,8 @@ struct VerifierFusedSite {
   uint8_t Rule = 0; ///< dbt::FusionRuleId value, diagnostic only.
   uint32_t Begin = 0;
   uint32_t End = 0;
-  std::vector<uint32_t> Words; ///< Reference words, size == End - Begin.
+  /// Reference words, size == End - Begin; owned by the caller.
+  std::span<const uint32_t> Words{};
 };
 
 /// One live translation as the engine knows it.
@@ -186,7 +224,68 @@ struct VerifyReport {
   bool ok() const { return Issues.empty(); }
 };
 
-/// Run all checks over \p Code as described by \p Input.
+/// A verifier with memory between sweeps (see the file comment).  Each
+/// verify() returns exactly the report a from-scratch sweep of the same
+/// arena and input would.
+class CodeVerifier {
+public:
+  /// Run all checks over \p Code as described by \p Input.
+  VerifyReport verify(const host::CodeSpace &Code,
+                      const VerifierInput &Input);
+
+private:
+  struct Sweep;
+
+  /// Forget everything the last clean sweep proved.
+  void reset();
+
+  /// A branch in live code: the target is Word + 1 + Disp.
+  struct Branch {
+    uint32_t Word = 0;
+    int32_t Disp = 0;
+  };
+
+  /// What checks 2, 3 and 6 proved about one live region: its MDA
+  /// sequence count and its branches, [FirstBranch, FirstBranch +
+  /// NumBranches) of the branch array.
+  struct RegionMemo {
+    uint32_t Begin = 0;
+    uint32_t End = 0;
+    uint32_t MdaSequences = 0;
+    uint32_t FirstBranch = 0;
+    uint32_t NumBranches = 0;
+  };
+
+  /// Whether the snapshot and the memos hold a clean sweep's results.
+  bool Remembers = false;
+  /// Raw arena words as of the last clean sweep.
+  std::vector<uint32_t> Snapshot;
+  /// One memo per live region of the last clean sweep, in input order,
+  /// with their branches.
+  std::vector<RegionMemo> Memos;
+  std::vector<Branch> Branches;
+  /// Open-addressing table over Memos keyed by (Begin, End), built on
+  /// the first lookup that input order does not answer: each slot is a
+  /// memo index + 1, or 0 when empty.
+  std::vector<uint32_t> Slots;
+  bool SlotsBuilt = false;
+
+  // Per-sweep scratch, kept to reuse its storage.
+  std::vector<RegionMemo> NextMemos; ///< one per live region, input order
+  std::vector<Branch> NextBranches;
+  /// (memo index, word) of content issues (checks 2 and 6), in memo
+  /// then word order; empty on a clean sweep.
+  std::vector<std::pair<uint32_t, uint32_t>> Undecodable, MdaMalformed;
+  std::vector<uint32_t> Changed; ///< changed words below the old size
+  std::vector<uint32_t> Flagged; ///< words check 1 flagged
+  std::vector<uint64_t> LiveBits;  ///< live-word bitmap
+  std::vector<uint64_t> EntryBits; ///< block-entry bitmap
+  std::vector<uint32_t> FarEntries; ///< block entries past the arena end
+  std::vector<std::pair<uint32_t, uint64_t>> Dirty; ///< sorted (check 8)
+  host::CodeSpace Scratch; ///< MDA sequence re-emission (check 6)
+};
+
+/// Run all checks over \p Code as described by \p Input, from scratch.
 VerifyReport verifyCodeSpace(const host::CodeSpace &Code,
                              const VerifierInput &Input);
 

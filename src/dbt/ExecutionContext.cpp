@@ -965,46 +965,50 @@ private:
   void runVerifier(bool Force = false) {
     if ((!Config.Verify && !Force) || Abort != RunError::None)
       return;
-    analysis::VerifierInput In;
-    std::unordered_map<const Translation *, size_t> Index;
+    // The input is rebuilt in place each sweep, so its vectors keep
+    // their storage; fused-site reference words are viewed, not copied.
+    analysis::VerifierInput &In = VerifyIn;
+    size_t NumBlocks = 0;
     for (Translation &T : Store) {
       if (!T.Valid)
         continue;
-      analysis::VerifierBlock B;
+      if (NumBlocks == In.Blocks.size())
+        In.Blocks.emplace_back();
+      analysis::VerifierBlock &B = In.Blocks[NumBlocks++];
       B.EntryWord = T.EntryWord;
       B.EndWord = T.EndWord;
       B.BornEpoch = T.BornEpoch;
       B.AotInstalled = T.AotInstalled;
+      B.Stubs.clear();
+      for (const auto &S : T.Stubs)
+        B.Stubs.push_back({S.first, S.second});
+      B.GuestRanges.clear();
       for (const auto &R : T.GuestRanges)
         B.GuestRanges.push_back({R.first, R.second});
+      B.ExitWords.clear();
       for (const ExitSite &X : T.Exits)
         B.ExitWords.push_back(X.SrvWord);
+      B.IcWays.clear();
       for (const IcSite &S : T.IcSites)
         for (const IcWay &W : S.Ways)
           if (!W.Stale) // quarantined ways are covered by ExemptWords
             B.IcWays.push_back(
                 {W.Begin, W.Filled, W.TargetEntry, W.TargetGuestPc});
+      B.Patches.clear();
       for (uint32_t W : T.PatchedWords)
         B.Patches.push_back({W, T.MemWordToGuestPc.count(W) != 0});
+      B.FusedSites.clear();
       for (const FusedSite &F : T.FusedSites)
         B.FusedSites.push_back({F.Rule, F.Begin, F.End, F.Words});
-      Index[&T] = In.Blocks.size();
-      In.Blocks.push_back(std::move(B));
     }
-    for (const auto &[Entry, Region] : Regions) {
-      Translation *T = Region.second;
-      if (!T->Valid || Entry == T->EntryWord)
-        continue; // dead, or the body region itself
-      auto It = Index.find(T);
-      if (It != Index.end())
-        In.Blocks[It->second].Stubs.push_back({Entry, Region.first});
-    }
+    In.Blocks.resize(NumBlocks);
     In.ExemptWords = StaleChainWords;
     In.IcWayWords = IcWayWords;
     In.GuestDirtyEpoch = &ByteDirtyEpoch;
-    if (AotCfg)
-      In.ReachableRanges = &AotReachable;
-    analysis::VerifyReport Report = analysis::verifyCodeSpace(Code, In);
+    In.ReachableRanges = AotCfg ? &AotReachable : nullptr;
+    if (!Verifier)
+      Verifier.emplace();
+    analysis::VerifyReport Report = Verifier->verify(Code, In);
     VerifyWords += Report.WordsChecked;
     if (Report.ok()) {
       ++VerifyPasses;
@@ -1108,6 +1112,7 @@ private:
     T->PatchedWords.push_back(F.HostPc);
     T->MemWordToGuestPc.erase(F.HostPc);
     Regions[S.Entry] = {S.End, T};
+    T->Stubs.push_back({S.Entry, S.End});
     // A store executed out of the stub must stop the episode at the
     // same place as the body word it replaces: propagate the resume
     // metadata to every stub word.  (Loads were never recorded, so the
@@ -1624,6 +1629,13 @@ private:
   /// quarantined from the verifier's liveness checks until the next
   /// flush (see invalidate()).
   std::unordered_set<uint32_t> StaleChainWords;
+
+  /// The code-cache verifier (EngineConfig::Verify and AOT's forced
+  /// sweeps), created at the first sweep and kept for the run: it
+  /// re-checks only what changed since its last clean sweep.
+  std::optional<analysis::CodeVerifier> Verifier;
+  /// runVerifier()'s input, rebuilt in place every sweep.
+  analysis::VerifierInput VerifyIn;
 
   // -- guest-code coherence state ----------------------------------------
 

@@ -184,6 +184,9 @@ struct Translation {
   uint32_t FaultCount = 0;
   /// Patched (stub-redirected) words, to avoid double patching.
   std::vector<uint32_t> PatchedWords;
+  /// Half-open word ranges of the exception stubs emitted for this
+  /// translation's fault sites, in emission (= arena) order.
+  std::vector<std::pair<uint32_t, uint32_t>> Stubs;
   /// Retranslation generation of this block (0 = first translation).
   uint32_t Generation = 0;
   /// False once superseded by a rearranged/retranslated version.

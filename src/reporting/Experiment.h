@@ -118,8 +118,8 @@ double gainOver(uint64_t BaselineCycles, uint64_t ImprovedCycles);
 std::string metricsJsonString(const dbt::RunResult &R);
 
 /// Serialize \p R's MetricsRegistry (plus run status and checksum) as a
-/// JSON object to \p Path — the machine-readable run artifact written
-/// next to the tables under results/ (schema in docs/TELEMETRY.md).
+/// JSON object to \p Path — the machine-readable run artifact (e.g.
+/// trace_inspect's trace_demo.metrics.json; schema in docs/TELEMETRY.md).
 /// Returns false if the file cannot be written.
 bool writeMetricsJson(const dbt::RunResult &R, const std::string &Path);
 

@@ -24,10 +24,17 @@
 #include "host/HostAssembler.h"
 #include "host/MdaSequences.h"
 #include "mda/PolicyFactory.h"
+#include "support/RNG.h"
 
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 using namespace mdabt;
 using analysis::AbsVal;
@@ -406,6 +413,486 @@ TEST(HostVerifier, BogusExitSiteFlagged) {
   analysis::VerifyReport R = analysis::verifyCodeSpace(Code, In);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.Issues[0].Kind, analysis::VerifyIssueKind::ExitSiteBad);
+}
+
+//===----------------------------------------------------------------------===//
+// Host code-cache verifier: out-of-range input fails closed
+//===----------------------------------------------------------------------===//
+
+TEST(HostVerifier, SitesPastTheArenaEndFailClosed) {
+  host::CodeSpace Code;
+  host::HostAssembler Asm(Code);
+  Asm.opl(host::HostOp::Addl, 1, 4, 2);
+  uint32_t Exit = Asm.emit(host::srvInst(host::SrvFunc::Exit));
+  Asm.finish();
+  const uint32_t N = Code.size();
+
+  // A region, a patch, an exit and an IC way that all reach past the
+  // end of the arena: bookkeeping gone wrong.  Each is reported as its
+  // site's issue kind, with the arena size as aux, and nothing is read.
+  analysis::VerifierInput In;
+  In.Blocks.push_back({0,
+                       N + 8,
+                       {},
+                       {{N + 3, /*Reverted=*/false}},
+                       {Exit, N + 5},
+                       {{N + 1, /*Filled=*/false, 0, 0}}});
+  analysis::VerifyReport R = analysis::verifyCodeSpace(Code, In);
+  ASSERT_EQ(R.Issues.size(), 4u);
+  EXPECT_EQ(R.Issues[0].Kind, analysis::VerifyIssueKind::Undecodable);
+  EXPECT_EQ(R.Issues[0].Word, N);
+  EXPECT_EQ(R.Issues[0].Aux, N);
+  EXPECT_EQ(R.Issues[1].Kind, analysis::VerifyIssueKind::PatchSiteBad);
+  EXPECT_EQ(R.Issues[1].Word, N + 3);
+  EXPECT_EQ(R.Issues[2].Kind, analysis::VerifyIssueKind::ExitSiteBad);
+  EXPECT_EQ(R.Issues[2].Word, N + 5);
+  EXPECT_EQ(R.Issues[3].Kind, analysis::VerifyIssueKind::IcWayBad);
+  EXPECT_EQ(R.Issues[3].Word, N + 1);
+  EXPECT_EQ(R.WordsChecked, N);
+  EXPECT_EQ(R.RegionsChecked, 1u);
+}
+
+TEST(HostVerifier, StaleGuestCodeReportsLowestByte) {
+  host::CodeSpace Code;
+  host::HostAssembler Asm(Code);
+  uint32_t Exit = Asm.emit(host::srvInst(host::SrvFunc::Exit));
+  Asm.finish();
+
+  std::unordered_map<uint32_t, uint64_t> Dirty;
+  for (uint32_t Byte : {0x1040u, 0x1013u, 0x1021u, 0x1010u})
+    Dirty[Byte] = 7;
+  Dirty[0x100c] = 2; // older than the translation: fine
+  analysis::VerifierInput In;
+  analysis::VerifierBlock B{0, Code.size(), {}, {}, {Exit}};
+  B.GuestRanges = {{0x1020, 0x1030}, {0x1000, 0x1018}};
+  B.BornEpoch = 5;
+  In.Blocks.push_back(B);
+  In.GuestDirtyEpoch = &Dirty;
+  analysis::VerifyReport R = analysis::verifyCodeSpace(Code, In);
+  ASSERT_EQ(R.Issues.size(), 1u);
+  EXPECT_EQ(R.Issues[0].Kind, analysis::VerifyIssueKind::StaleGuestCode);
+  EXPECT_EQ(R.Issues[0].Aux, 0x1010u);
+}
+
+//===----------------------------------------------------------------------===//
+// Host code-cache verifier: a remembering verifier reports exactly what a
+// from-scratch sweep reports
+//===----------------------------------------------------------------------===//
+
+/// A miniature code cache kept the way the engine keeps its own: blocks
+/// with a fault site, an inline MDA sequence, a fused core, an inline-
+/// cache way and a chainable exit, each followed by an MDA stub.  Steps
+/// mutate it the ways the engine does (install, patch, chain, invalidate,
+/// quarantine, fill an IC way, flush) and the ways fault injection and
+/// engine bugs do (torn and dropped patches, stray writes, a chain left
+/// pointing at a dead block).
+class CacheModel {
+public:
+  struct Block {
+    uint32_t Entry = 0, End = 0;
+    uint32_t Fault = 0, Exit = 0, Way = 0;
+    /// A conditional branch that skips one word (its home target) or,
+    /// linked, jumps into another block: covered by check 3 alone.
+    uint32_t Side = 0, SideHome = 0;
+    analysis::VerifierRegion Stub, Fused, Guest;
+    std::vector<uint32_t> FusedWords;
+    uint64_t Born = 0;
+    bool Valid = true, Patched = false, WayFilled = false;
+    uint32_t WayTarget = 0, WayTag = 0;
+  };
+
+  host::CodeSpace Code;
+  std::vector<Block> Blocks;
+  std::unordered_set<uint32_t> Exempt;
+  std::unordered_map<uint32_t, uint64_t> Dirty;
+  uint64_t Epoch = 0;
+  /// Stray writes not yet undone: word -> original value.
+  std::map<uint32_t, uint32_t> Strays;
+
+  static uint32_t brWord(uint32_t From, uint32_t To) {
+    return host::encodeHost(host::brInst(
+        host::HostOp::Br, host::RegZero,
+        static_cast<int32_t>(To) - static_cast<int32_t>(From + 1)));
+  }
+
+  static std::vector<uint32_t> wayWords(uint32_t Begin, uint32_t Target,
+                                        uint32_t Tag) {
+    using namespace host;
+    int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
+    int32_t Hi =
+        static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
+    return {encodeHost(memInst(HostOp::Ldah, RegScratch1, Hi, RegZero)),
+            encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1)),
+            encodeHost(
+                opInst(HostOp::Zextl, RegZero, RegScratch1, RegScratch1)),
+            encodeHost(
+                opInst(HostOp::Cmpeq, RegExitPc, RegScratch1, RegScratch2)),
+            encodeHost(brInst(HostOp::Beq, RegScratch2, 1)),
+            brWord(Begin + 5, Target)};
+  }
+
+  void install(mdabt::RNG &Rng) {
+    using namespace host;
+    Block B;
+    HostAssembler Asm(Code);
+    B.Entry = Asm.pos();
+    Asm.opl(HostOp::Addl, 1, static_cast<uint8_t>(Rng.below(200)), 2);
+    B.Fused.Begin = Asm.pos();
+    Asm.mov(2, 7);
+    B.Fault = Asm.mem(HostOp::Ldl, 3, 4, 2);
+    B.Fused.End = Asm.pos();
+    emitMdaLoad(Asm, Rng.chance(0.5) ? 4 : 8, 5, 6,
+                static_cast<int32_t>(Rng.below(64)));
+    HostAssembler::Label Skip = Asm.newLabel();
+    B.Side = Asm.beq(1, Skip);
+    Asm.mov(5, 6);
+    Asm.bind(Skip);
+    B.SideHome = Asm.pos();
+    B.Way = Asm.pos();
+    Asm.emit(brInst(HostOp::Br, RegZero, 5));
+    for (int K = 0; K != 5; ++K)
+      Asm.mov(RegZero, RegZero);
+    B.Exit = Asm.emit(srvInst(SrvFunc::Exit));
+    B.End = Asm.pos();
+    B.Stub.Begin = Asm.pos();
+    emitMdaLoad(Asm, 4, 3, 2, 4);
+    Asm.brTo(B.Fault + 1);
+    B.Stub.End = Asm.pos();
+    Asm.finish();
+    for (uint32_t W = B.Fused.Begin; W != B.Fused.End; ++W)
+      B.FusedWords.push_back(Code.word(W));
+    uint32_t GuestPc = 0x1000 + 0x40 * static_cast<uint32_t>(Blocks.size());
+    B.Guest = {GuestPc, GuestPc + 0x20};
+    B.Born = Epoch;
+    Blocks.push_back(std::move(B));
+  }
+
+  /// Index of a random live block, or -1.
+  int pickLive(mdabt::RNG &Rng) const {
+    std::vector<int> Live;
+    for (size_t I = 0; I != Blocks.size(); ++I)
+      if (Blocks[I].Valid)
+        Live.push_back(static_cast<int>(I));
+    if (Live.empty())
+      return -1;
+    return Live[Rng.below(Live.size())];
+  }
+
+  void patchFault(Block &B) {
+    Code.patch(B.Fault, brWord(B.Fault, B.Stub.Begin));
+    B.Patched = true;
+  }
+
+  /// A patch the injector drops or tears: the bookkeeping records it
+  /// as done either way.
+  void faultyPatch(Block &B, bool Torn, uint32_t Flip) {
+    Code.setPatchHook([Torn, Flip](uint32_t, uint32_t &Word) {
+      Word ^= Flip;
+      return Torn;
+    });
+    patchFault(B);
+    Code.setPatchHook(nullptr);
+  }
+
+  static uint32_t beqWord(uint32_t From, uint32_t To) {
+    return host::encodeHost(host::brInst(
+        host::HostOp::Beq, 1,
+        static_cast<int32_t>(To) - static_cast<int32_t>(From + 1)));
+  }
+
+  void link(Block &From, const Block &To) {
+    Code.patch(From.Side, beqWord(From.Side, To.Entry));
+  }
+
+  void unlink(Block &From) {
+    Code.patch(From.Side, beqWord(From.Side, From.SideHome));
+  }
+
+  void chain(Block &From, const Block &To) {
+    Code.patch(From.Exit, brWord(From.Exit, To.Entry));
+  }
+
+  void unchain(Block &From) {
+    Code.patch(From.Exit, host::encodeHost(host::srvInst(host::SrvFunc::Exit)));
+  }
+
+  /// Exits chained to \p Target's entry.
+  std::vector<int> chainedTo(const Block &Target) const {
+    std::vector<int> Out;
+    for (size_t I = 0; I != Blocks.size(); ++I)
+      if (Code.word(Blocks[I].Exit) == brWord(Blocks[I].Exit, Target.Entry))
+        Out.push_back(static_cast<int>(I));
+    return Out;
+  }
+
+  /// Take \p Victim out of service.  \p Mode 0 unchains, unlinks and
+  /// disables every way into it (correct), 1 quarantines the incoming
+  /// exits and side branches (the engine's fallback when an unchain
+  /// patch fails), 2 leaves them pointing at the dead entry (an engine
+  /// bug the verifier must catch although no word changed).
+  void invalidate(Block &Victim, unsigned Mode) {
+    Victim.Valid = false;
+    for (int I : chainedTo(Victim)) {
+      if (Mode == 0)
+        unchain(Blocks[I]);
+      else if (Mode == 1)
+        Exempt.insert(Blocks[I].Exit);
+    }
+    for (Block &B : Blocks) {
+      if (Code.word(B.Side) != beqWord(B.Side, Victim.Entry))
+        continue;
+      if (Mode == 0)
+        unlink(B);
+      else if (Mode == 1)
+        Exempt.insert(B.Side);
+    }
+    for (Block &B : Blocks)
+      if (B.WayFilled && B.WayTarget == Victim.Entry && Mode != 2)
+        disableWay(B);
+  }
+
+  void fillWay(Block &B, const Block &Target) {
+    std::vector<uint32_t> Words = wayWords(B.Way, Target.Entry, Target.Guest.Begin);
+    for (uint32_t K = 6; K-- != 0;) // interior first, guard last
+      Code.patch(B.Way + K, Words[K]);
+    B.WayFilled = true;
+    B.WayTarget = Target.Entry;
+    B.WayTag = Target.Guest.Begin;
+  }
+
+  void disableWay(Block &B) {
+    Code.patch(B.Way, host::encodeHost(host::brInst(host::HostOp::Br,
+                                                    host::RegZero, 5)));
+    B.WayFilled = false;
+  }
+
+  void stray(uint32_t W, uint32_t Word) {
+    Strays.emplace(W, Code.word(W)); // keeps the first original
+    Code.patch(W, Word);
+  }
+
+  void repairStrays() {
+    for (const auto &[W, Word] : Strays)
+      if (W < Code.size())
+        Code.patch(W, Word);
+    Strays.clear();
+  }
+
+  void flush() {
+    Code.clear();
+    Blocks.clear();
+    Exempt.clear();
+    Strays.clear();
+  }
+
+  analysis::VerifierInput input() const {
+    analysis::VerifierInput In;
+    for (const Block &B : Blocks) {
+      if (!B.Valid)
+        continue;
+      analysis::VerifierBlock V{B.Entry, B.End, {B.Stub}};
+      if (B.Patched)
+        V.Patches.push_back({B.Fault, false});
+      V.ExitWords.push_back(B.Exit);
+      V.IcWays.push_back({B.Way, B.WayFilled, B.WayTarget, B.WayTag});
+      V.GuestRanges.push_back(B.Guest);
+      V.BornEpoch = B.Born;
+      V.FusedSites.push_back({0, B.Fused.Begin, B.Fused.End, B.FusedWords});
+      In.Blocks.push_back(std::move(V));
+    }
+    In.ExemptWords = Exempt;
+    In.GuestDirtyEpoch = &Dirty;
+    return In;
+  }
+
+  /// One random step; returns its name for failure messages.
+  const char *step(mdabt::RNG &Rng) {
+    int A = pickLive(Rng);
+    int B = pickLive(Rng);
+    switch (Rng.below(18)) {
+    case 0:
+    case 1:
+    case 2:
+      install(Rng);
+      return "install";
+    case 3:
+      if (A < 0 || Blocks[A].Patched)
+        return "noop";
+      patchFault(Blocks[A]);
+      return "patch";
+    case 4:
+      if (A < 0 || Blocks[A].Patched)
+        return "noop";
+      faultyPatch(Blocks[A], Rng.chance(0.5),
+                  1u << Rng.below(32));
+      return "faulty-patch";
+    case 5:
+      if (A < 0 || B < 0)
+        return "noop";
+      chain(Blocks[A], Blocks[B]);
+      return "chain";
+    case 6:
+      if (A < 0)
+        return "noop";
+      unchain(Blocks[A]);
+      Exempt.erase(Blocks[A].Exit);
+      return "unchain";
+    case 7:
+      if (A < 0)
+        return "noop";
+      invalidate(Blocks[A], static_cast<unsigned>(Rng.below(3)));
+      return "invalidate";
+    case 8:
+      if (A < 0)
+        return "noop";
+      Exempt.insert(Blocks[A].Exit);
+      return "quarantine";
+    case 9:
+      if (Exempt.empty())
+        return "noop";
+      Exempt.erase(Exempt.begin());
+      return "release";
+    case 10:
+      if (A < 0 || B < 0)
+        return "noop";
+      fillWay(Blocks[A], Blocks[B]);
+      return "fill-way";
+    case 11:
+      if (A < 0 || !Blocks[A].WayFilled)
+        return "noop";
+      disableWay(Blocks[A]);
+      return "disable-way";
+    case 12: {
+      // A stray write inside a region already verified clean, with no
+      // bookkeeping change: a flipped bit or a copied neighbour word.
+      if (A < 0)
+        return "noop";
+      const Block &Blk = Blocks[A];
+      uint32_t W = Blk.Entry +
+                   static_cast<uint32_t>(Rng.below(Blk.Stub.End - Blk.Entry));
+      uint32_t Word = Rng.chance(0.5) ? Code.word(W) ^ (1u << Rng.below(32))
+                                      : Code.word(Blk.Entry);
+      stray(W, Word);
+      return "stray-write";
+    }
+    case 13:
+      repairStrays();
+      return "repair";
+    case 14:
+      if (A < 0 || B < 0)
+        return "noop";
+      link(Blocks[A], Blocks[B]);
+      return "link";
+    case 15:
+      if (A < 0)
+        return "noop";
+      unlink(Blocks[A]);
+      Exempt.erase(Blocks[A].Side);
+      return "unlink";
+    case 16:
+      // A guest store: into a live block's bytes (stale unless it is
+      // invalidated) or, usually, elsewhere.
+      ++Epoch;
+      if (A >= 0 && Rng.chance(0.3))
+        Dirty[Blocks[A].Guest.Begin +
+              static_cast<uint32_t>(Rng.below(0x20))] = Epoch;
+      else
+        Dirty[0x80000 + static_cast<uint32_t>(Rng.below(64))] = Epoch;
+      return "guest-store";
+    default:
+      if (!Rng.chance(0.25))
+        return "noop";
+      flush();
+      return "flush";
+    }
+  }
+};
+
+void expectSameReport(const analysis::VerifyReport &Got,
+                      const analysis::VerifyReport &Want,
+                      const std::string &Where) {
+  EXPECT_EQ(Got.WordsChecked, Want.WordsChecked) << Where;
+  EXPECT_EQ(Got.RegionsChecked, Want.RegionsChecked) << Where;
+  EXPECT_EQ(Got.MdaSequencesChecked, Want.MdaSequencesChecked) << Where;
+  EXPECT_EQ(Got.FusedSitesChecked, Want.FusedSitesChecked) << Where;
+  ASSERT_EQ(Got.Issues.size(), Want.Issues.size()) << Where;
+  for (size_t I = 0; I != Got.Issues.size(); ++I)
+    EXPECT_EQ(analysis::verifyIssueToString(Got.Issues[I]),
+              analysis::verifyIssueToString(Want.Issues[I]))
+        << Where << " issue " << I;
+}
+
+TEST(HostVerifierDifferential, RememberingVerifierMatchesFullSweep) {
+  std::map<analysis::VerifyIssueKind, uint64_t> Seen;
+  uint64_t Clean = 0, Failing = 0;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    mdabt::RNG Rng(Seed);
+    CacheModel M;
+    analysis::CodeVerifier Persistent;
+    for (unsigned Step = 0; Step != 200; ++Step) {
+      const char *What = M.step(Rng);
+      analysis::VerifierInput In = M.input();
+      analysis::VerifyReport Got = Persistent.verify(M.Code, In);
+      analysis::VerifyReport Want = analysis::verifyCodeSpace(M.Code, In);
+      std::string Where = "seed " + std::to_string(Seed) + " step " +
+                          std::to_string(Step) + " (" + What + ")";
+      ASSERT_NO_FATAL_FAILURE(expectSameReport(Got, Want, Where));
+      if (Want.ok())
+        ++Clean;
+      else
+        ++Failing;
+      for (const analysis::VerifyIssue &I : Want.Issues)
+        ++Seen[I.Kind];
+    }
+  }
+  // The sequences must exercise both verdicts and every corruption the
+  // model can produce.
+  EXPECT_GT(Clean, 1000u);
+  EXPECT_GT(Failing, 1000u);
+  using K = analysis::VerifyIssueKind;
+  for (K Kind : {K::Undecodable, K::BranchTargetBad, K::PatchSiteBad,
+                 K::ExitSiteBad, K::MdaSequenceMalformed, K::IcWayBad,
+                 K::StaleGuestCode, K::FusedSiteBad})
+    EXPECT_GT(Seen[Kind], 0u) << analysis::verifyIssueKindName(Kind);
+}
+
+TEST(HostVerifierDifferential, StrayWriteInCleanRegionIsCaught) {
+  // The remembering verifier must not trust its memory of a region
+  // whose bounds and bookkeeping are unchanged: only the words moved.
+  CacheModel M;
+  mdabt::RNG Rng(7);
+  M.install(Rng);
+  M.install(Rng);
+  analysis::CodeVerifier V;
+  ASSERT_TRUE(V.verify(M.Code, M.input()).ok());
+  const CacheModel::Block &B = M.Blocks[1];
+  M.stray(B.Fault + 2, 12u << 26); // an undecodable word mid-sequence
+  analysis::VerifyReport R = V.verify(M.Code, M.input());
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Issues[0].Kind, analysis::VerifyIssueKind::Undecodable);
+  EXPECT_EQ(R.Issues[0].Word, B.Fault + 2);
+  M.repairStrays();
+  EXPECT_TRUE(V.verify(M.Code, M.input()).ok());
+}
+
+TEST(HostVerifierDifferential, BranchIntoDeadBlockIsCaughtWithoutWrites) {
+  // Block 0's side branch jumps into block 1 and sweeps clean.  Block 1
+  // then dies with the branch left in place: no word changes, yet the
+  // untouched branch in block 0 is now wild.  No site check covers a
+  // side branch, so only re-judging remembered targets catches it.
+  CacheModel M;
+  mdabt::RNG Rng(3);
+  M.install(Rng);
+  M.install(Rng);
+  M.link(M.Blocks[0], M.Blocks[1]);
+  analysis::CodeVerifier V;
+  ASSERT_TRUE(V.verify(M.Code, M.input()).ok());
+  M.invalidate(M.Blocks[1], /*Mode=*/2);
+  analysis::VerifyReport R = V.verify(M.Code, M.input());
+  ASSERT_FALSE(R.ok());
+  ASSERT_EQ(R.Issues.size(), 1u);
+  EXPECT_EQ(R.Issues[0].Kind, analysis::VerifyIssueKind::BranchTargetBad);
+  EXPECT_EQ(R.Issues[0].Word, M.Blocks[0].Side);
 }
 
 } // namespace

@@ -560,6 +560,73 @@ TEST(ChaosVerifierTest, VerifierIsFreeWhenDisabled) {
 
 // ---- baseline purity --------------------------------------------------------
 
+TEST(ChaosVerifierTest, InjectedCorruptionIsCaughtAtPinnedSweeps) {
+  // Where each verified chaos campaign ends, and after how many
+  // verifier sweeps.  The table was captured from the verifier that
+  // re-checked the whole cache on every sweep; a verifier that
+  // remembers what it proved must reproduce every tuple, so a run ends
+  // at the same sweep with the same verdict.  (No campaign here ends in
+  // VerifyFailed: the hardened engine repairs or aborts on each
+  // injected fault before a sweep sees it.)
+  struct Pinned {
+    dbt::RunError Error;
+    uint64_t Passes;
+    uint64_t Issues;
+  };
+  const Pinned Table[24] = {
+      {dbt::RunError::None, 5, 0},   {dbt::RunError::None, 16, 0},
+      {dbt::RunError::None, 303, 0}, {dbt::RunError::None, 18, 0},
+      {dbt::RunError::None, 550, 0}, {dbt::RunError::None, 1, 0},
+      {dbt::RunError::None, 12, 0},  {dbt::RunError::None, 481, 0},
+      {dbt::RunError::None, 11, 0},  {dbt::RunError::None, 710, 0},
+      {dbt::RunError::None, 7, 0},   {dbt::RunError::None, 11, 0},
+      {dbt::RunError::None, 12, 0},  {dbt::RunError::PatchFailed, 4, 0},
+      {dbt::RunError::None, 1, 0},   {dbt::RunError::None, 20, 0},
+      {dbt::RunError::None, 5, 0},   {dbt::RunError::None, 351, 0},
+      {dbt::RunError::None, 7, 0},   {dbt::RunError::None, 6, 0},
+      {dbt::RunError::None, 5, 0},   {dbt::RunError::None, 25, 0},
+      {dbt::RunError::None, 355, 0}, {dbt::RunError::None, 72, 0},
+  };
+  const guest::GuestImage Images[] = {lateOnsetProgram(600, 150),
+                                      workloads::smcFlipProgram(200),
+                                      workloads::smcChurnProgram(3, 60)};
+  const mda::PolicySpec Specs[] = {
+      {mda::MechanismKind::DynamicProfiling, 10, false, 0, false},
+      {mda::MechanismKind::ExceptionHandling, 10, true, 0, false},
+      {mda::MechanismKind::Dpeh, 10, false, 4, false},
+      {mda::MechanismKind::ExceptionHandling, 10, false, 0, false},
+  };
+  for (uint64_t Seed = 0; Seed != 24; ++Seed) {
+    const guest::GuestImage &Image =
+        Images[Seed % 5 == 4 ? 1 : Seed % 5 == 2 ? 2 : 0];
+    chaos::FaultPlan Plan = chaos::FaultPlan::randomized(9000 + Seed);
+    std::unique_ptr<dbt::MdaPolicy> Policy =
+        mda::makePolicy(Specs[Seed % 4]);
+    dbt::EngineConfig Config;
+    Config.Verify = true;
+    if (Seed % 3 == 1)
+      Config.CodeCacheLimitWords = 200;
+    if (Seed % 3 == 2)
+      Config.FlushOnSupersede = true;
+    if (Seed % 2 == 1) {
+      Config.HashDispatch = true;
+      Config.InlineCaches = true;
+      Config.Superblocks = true;
+    }
+    if (Seed % 4 == 2)
+      Config.Fusion = true;
+    if (Seed % 6 == 3)
+      Config.Aot = dbt::AotMode::Hybrid;
+    dbt::RunResult R = runChaos(Image, *Policy, Plan, Config);
+    EXPECT_EQ(R.Error, Table[Seed].Error)
+        << "seed " << Seed << ": " << dbt::runErrorName(R.Error);
+    EXPECT_EQ(R.Counters.get("verify.passes"), Table[Seed].Passes)
+        << "seed " << Seed;
+    EXPECT_EQ(R.Counters.get("verify.issues"), Table[Seed].Issues)
+        << "seed " << Seed;
+  }
+}
+
 TEST(ChaosEngineTest, DisabledPlanLeavesRunUntouched) {
   guest::GuestImage Image = misalignedSumProgram(300);
   chaos::FaultPlan Empty; // all rates zero: enabled() == false
